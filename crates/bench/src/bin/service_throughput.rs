@@ -12,8 +12,10 @@
 //! Per regime it reports per-job **simulated** latency percentiles
 //! (p50/p95/p99 as a `BENCH {...}` line) plus a summary `BENCH` line
 //! with jobs/sec of simulated throughput, the rejection rate, and the
-//! quarantine/probe/displacement counters. Everything runs in seeded
-//! simulated time: the numbers are bit-reproducible across hosts.
+//! quarantine/probe/displacement counters. Everything but the host
+//! figures runs in seeded simulated time and is bit-reproducible across
+//! hosts. The summary also carries the host wall-clock jobs/sec and µs
+//! per job of the whole run (fleet set-up, submissions and drain).
 //!
 //! Usage: `service_throughput [tenants] [jobs_per_tenant] [--gate]`
 //! (defaults: 1024 tenants, 2 jobs each). `--gate` turns the run into a
@@ -23,10 +25,13 @@
 //! * faulted p95 latency must stay within 2× of clean p95;
 //! * the faulted regime must actually quarantine (otherwise the regime
 //!   proves nothing);
-//! * the seeded fleet-isolation conformance scenarios must all hold.
+//! * the seeded fleet-isolation conformance scenarios must all hold;
+//! * the clean regime rerun at 4× the tenants may cost at most
+//!   [`HOST_GROWTH_LIMIT`]× the host µs per job: per-job host cost must
+//!   not grow with the devices' history.
 
 use std::process::exit;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mgpu_bench::harness::{emit_bench_json, Stats};
 use mgpu_conformance::check_fleet_isolation;
@@ -40,6 +45,8 @@ const SEED: u64 = 2017;
 const SUBMIT_GAP: SimTime = SimTime::from_micros(2);
 /// Isolation conformance seeds replayed under `--gate`.
 const ISOLATION_SEEDS: std::ops::Range<u64> = 0..3;
+/// Largest host µs-per-job growth `--gate` accepts from 4× the tenants.
+const HOST_GROWTH_LIMIT: f64 = 1.5;
 
 struct Regime {
     name: &'static str,
@@ -76,9 +83,18 @@ struct Outcome {
     latency: Stats,
     records: Vec<JobRecord>,
     faults_seen: u64,
+    /// Host wall-clock of the whole run.
+    host: Duration,
+}
+
+impl Outcome {
+    fn host_us_per_job(&self) -> f64 {
+        self.host.as_secs_f64() * 1e6 / self.stats.submitted.max(1) as f64
+    }
 }
 
 fn run_regime(regime: &Regime, tenants: usize, jobs_per_tenant: usize) -> Outcome {
+    let start = Instant::now();
     let mut service = FleetService::new(ServiceConfig {
         devices: DEVICES,
         fault_plans: regime.fault_plans.clone(),
@@ -113,6 +129,7 @@ fn run_regime(regime: &Regime, tenants: usize, jobs_per_tenant: usize) -> Outcom
         }
     }
     service.drain();
+    let host = start.elapsed();
 
     let latencies_ns: Vec<u64> = service
         .ok_latencies()
@@ -124,6 +141,7 @@ fn run_regime(regime: &Regime, tenants: usize, jobs_per_tenant: usize) -> Outcom
         latency: Stats::from_nanos(&latencies_ns),
         faults_seen: service.records().iter().map(|r| r.faults_seen as u64).sum(),
         records: service.records().to_vec(),
+        host,
     }
 }
 
@@ -132,12 +150,14 @@ fn summary_line(regime: &str, out: &Outcome) -> String {
     let makespan = s.makespan.as_nanos().max(1) as f64 / 1e9;
     let jobs_per_sec = s.completed_ok as f64 / makespan;
     let rejection_rate = s.rejected as f64 / s.submitted.max(1) as f64;
+    let host_jobs_per_sec = s.completed_ok as f64 / out.host.as_secs_f64().max(1e-9);
     format!(
         "BENCH {{\"group\":\"service_throughput\",\"id\":\"{regime}/summary\",\
          \"tenants\":{},\"submitted\":{},\"completed_ok\":{},\"failed\":{},\
          \"jobs_per_sec\":{jobs_per_sec:.1},\"rejection_rate\":{rejection_rate:.4},\
          \"quarantines\":{},\"probes\":{},\"displaced\":{},\"faults_seen\":{},\
-         \"makespan_ns\":{}}}",
+         \"makespan_ns\":{},\"host_jobs_per_sec\":{host_jobs_per_sec:.1},\
+         \"host_us_per_job\":{:.1}}}",
         out.records
             .iter()
             .map(|r| r.tenant)
@@ -151,6 +171,7 @@ fn summary_line(regime: &str, out: &Outcome) -> String {
         s.displaced,
         out.faults_seen,
         s.makespan.as_nanos(),
+        out.host_us_per_job(),
     )
 }
 
@@ -197,6 +218,17 @@ fn main() {
                     if replay.records != out.records {
                         failures.push("clean regime did not replay byte-identically".to_owned());
                     }
+                    let clean_host_us = out.host_us_per_job();
+                    let scaled = run_regime(&regime, tenants * 4, jobs_per_tenant);
+                    println!("{}", summary_line("clean_4x_tenants", &scaled));
+                    let growth = scaled.host_us_per_job() / clean_host_us.max(f64::MIN_POSITIVE);
+                    if growth > HOST_GROWTH_LIMIT {
+                        failures.push(format!(
+                            "host cost per job grew {growth:.2}x at 4x the tenants \
+                             ({clean_host_us:.1} -> {:.1} us), limit {HOST_GROWTH_LIMIT}x",
+                            scaled.host_us_per_job()
+                        ));
+                    }
                 }
             }
             _ => {
@@ -228,7 +260,10 @@ fn main() {
             }
         }
         if failures.is_empty() {
-            println!("GATE ok: faulted p95 within 2x clean, isolation held");
+            println!(
+                "GATE ok: faulted p95 within 2x clean, isolation held, \
+                 host cost per job flat at 4x tenants"
+            );
         } else {
             for f in &failures {
                 eprintln!("GATE FAIL: {f}");

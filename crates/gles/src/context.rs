@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mgpu_shader::ir::Shader;
-use mgpu_shader::{compile_with, cost, CompileOptions, Limits, OptOptions, Sampler, UniformValues};
+use mgpu_shader::{cost, CompileOptions, Limits, OptOptions, Sampler, UniformValues};
 use mgpu_tbdr::{
     AllocKind, CopyOut, FragmentProfile, FragmentWork, FrameTiming, FrameWork, PipelineSim,
     Platform, RenderTarget, ResourceId, SimReport, SimTime, SkipWork, SyncOp, TileRect, Upload,
@@ -35,6 +35,7 @@ use crate::raster::{
     execute_plan, execute_plan_rect, panic_message, quantize_rgba8, rasterize_quad_rows_into,
     texcoord_corners, DrawPlan, RasterTarget, VaryingCorners,
 };
+use crate::shader_memo::ShaderMemo;
 use crate::tile_skip::{
     blit_tile, content_hash, extract_tile, region_hash, sample_footprint, tile_signature, TexSig,
     TileKey, TileSigCache, TileSkipStats, SIG_BYTES_PER_SLOT_COLUMN, SIG_DESCRIPTOR_BYTES,
@@ -109,12 +110,12 @@ struct Framebuffer {
 
 #[derive(Debug)]
 struct Program {
-    /// Shared so draw plans can hold the compiled shader without cloning
-    /// it; a relink creates a whole new `Program`, never mutates this.
+    /// Shared with the shader memo and draw plans; a relink creates a
+    /// whole new `Program`, never mutates this.
     shader: Arc<Shader>,
-    /// [`Shader::stable_hash`] computed once at link, part of every plan
-    /// cache key (catches a handle relinked to different source).
-    shader_hash: u64,
+    /// The shader memo's id for `shader`, part of every plan cache key:
+    /// programs linked from one source under one set of options share it.
+    shader_id: u64,
     uniforms: UniformValues,
     /// shader sampler unit → GL texture unit (glUniform1i on a sampler).
     unit_bindings: HashMap<u8, u32>,
@@ -421,6 +422,10 @@ pub struct Gl {
     /// are pinned: a thread-count change must not retire a pool other
     /// contexts still share (dispatch clamps participation instead).
     executor_installed: bool,
+    /// Compiled shaders by `(source, options)`, with the shader ids plans
+    /// are keyed by. Survives context loss, like the program-binary cache
+    /// of a GLES implementation.
+    shader_memo: ShaderMemo,
     /// Per-context draw-plan cache (cleared on context loss/recreation).
     plan_cache: PlanCache,
     /// When the plan cache is disabled, the last draw's plan is parked
@@ -499,6 +504,7 @@ impl Gl {
             context_lost: false,
             executor: None,
             executor_installed: false,
+            shader_memo: ShaderMemo::default(),
             plan_cache: PlanCache::new(plan_cache_default()),
             scratch_plan: None,
             tile_cache: TileSigCache::new(),
@@ -647,9 +653,10 @@ impl Gl {
     /// must be recreated by the application; the window surface is
     /// re-cleared and the swap interval reset to the platform default.
     /// The simulated timeline, the fault injector (trail and operation
-    /// counters) and the frame recorder carry over, and the recreation's
-    /// CPU cost is charged to the next submitted frame. Safe to call on a
-    /// live context (same semantics: a full teardown).
+    /// counters), the frame recorder and the compiled-shader memo carry
+    /// over, and the recreation's CPU cost is charged to the next
+    /// submitted frame. Safe to call on a live context (same semantics: a
+    /// full teardown).
     pub fn recreate(&mut self) {
         self.textures.clear();
         self.buffers.clear();
@@ -669,9 +676,10 @@ impl Gl {
         self.cleared_targets.clear();
         self.has_content.clear();
         self.context_lost = false;
-        // Every cached plan references a program object that no longer
-        // exists. The worker pool, by contrast, survives: recovery should
-        // not pay a thread-respawn tax on top of object recreation.
+        // Draw plans are per-context GL state and die with the
+        // context. The worker pool and the shader memo, by contrast,
+        // survive: recovery should not pay a thread-respawn or recompile
+        // tax on top of object recreation.
         self.plan_cache.clear();
         self.scratch_plan = None;
         // Cached tile bytes likewise belong to dead objects; recovered
@@ -1077,14 +1085,16 @@ impl Gl {
                 max_varying_vectors: sl.max_varying_vectors,
             },
         };
-        let shader = compile_with(fragment_source, &options)?;
-        let shader_hash = shader.stable_hash();
+        // Looked up only after the fault hook above, so an injected
+        // compile failure fires on the same call whether or not the memo
+        // already holds this source.
+        let (shader, shader_id) = self.shader_memo.compile(fragment_source, &options)?;
         let h = self.handle();
         self.programs.insert(
             h,
             Program {
-                shader: Arc::new(shader),
-                shader_hash,
+                shader,
+                shader_id,
                 uniforms: UniformValues::new(),
                 unit_bindings: HashMap::new(),
             },
@@ -1746,8 +1756,7 @@ impl Gl {
                 // dispatcher in that case). Sampler views are always
                 // fresh — texture contents are never part of a plan.
                 let key = PlanKey {
-                    program: prog_id.0,
-                    shader_hash: program.shader_hash,
+                    shader: program.shader_id,
                     uniform_hash: program.uniforms.stable_hash(),
                     engine: exec.engine(),
                     spec: exec.specialization(),
@@ -1798,7 +1807,7 @@ impl Gl {
                         );
                         let col = plan.column_slice_hash(r.x0, r.x1);
                         let sig = tile_signature(col, height, &r, &texes);
-                        match tile_cache.lookup(&TileKey::new(key, &r), sig) {
+                        match tile_cache.lookup(&TileKey::new(prog_id.0, key, &r), sig) {
                             Some(bytes) => {
                                 blit_tile(bytes, &r, width, ch, out);
                                 skip.skipped_fragments += r.pixels();
@@ -1857,7 +1866,7 @@ impl Gl {
                                 }
                             }
                             blit_tile(&bytes, r, width, ch, out);
-                            tile_cache.insert(TileKey::new(key, r), *sig, bytes);
+                            tile_cache.insert(TileKey::new(prog_id.0, key, r), *sig, bytes);
                         }
                         if exec.pool_enabled() && plan_cache.enabled() {
                             plan_cache.insert(key, plan);
@@ -1915,7 +1924,7 @@ impl Gl {
                             // signature for the next pass.
                             for (r, sig) in misses {
                                 tile_cache.insert(
-                                    TileKey::new(key, &r),
+                                    TileKey::new(prog_id.0, key, &r),
                                     sig,
                                     extract_tile(out, &r, width, ch),
                                 );
@@ -2246,9 +2255,11 @@ impl Gl {
         self.sim.report()
     }
 
-    /// Simulated time elapsed so far.
+    /// Simulated time elapsed so far: the `total_time` of
+    /// [`Gl::report`], read in constant time without copying the frame
+    /// history (see [`PipelineSim::total_time`]).
     #[must_use]
     pub fn elapsed(&self) -> SimTime {
-        self.sim.report().total_time
+        self.sim.total_time()
     }
 }

@@ -56,6 +56,7 @@ pub mod fault;
 mod plan_cache;
 mod pool;
 pub mod raster;
+mod shader_memo;
 mod tile_skip;
 mod types;
 

@@ -5,26 +5,33 @@
 //! scalar uniform, and iterative pipelines repeat whole uniform cycles
 //! every multiply. The per-draw setup those draws repeat — uniform
 //! specialisation of the shader, column-table hoisting, engine register
-//! allocation — depends only on (program, uniforms, engine, target
+//! allocation — depends only on (shader, uniforms, engine, target
 //! geometry, corners), so this cache keys finished [`DrawPlan`]s by
 //! exactly that tuple and hands them back on repeat draws.
+//!
+//! The shader enters the key as its **shader id** from the context's
+//! shader memo ([`crate::shader_memo`]), not as the program handle.
+//! Programs linked from the same source under the same compile options
+//! share the id, so a fleet job that links its predecessor's kernels
+//! again draws from the plans its predecessor built on the same device.
 //!
 //! ## Invalidation
 //!
 //! Everything a plan captures is part of its key, so most state changes
 //! invalidate *by keying*, not by flushing:
 //!
-//! * **uniform change / program relink** — the uniform or shader hash
+//! * **uniform change / relink** — the uniform hash or the shader id
 //!   changes, so the next draw misses and builds a fresh plan; the stale
-//!   entry ages out FIFO. Program handles are never reused by the context
-//!   (`next_handle` is monotonic, even across [`Gl::recreate`]), so a
-//!   deleted program's entries can never be resurrected by handle reuse.
+//!   entry ages out FIFO. The context never reuses a shader id (a source
+//!   the memo evicted relinks under a fresh one), so a plan is never
+//!   served for a compilation it was not built from.
 //! * **texture respecification** — nothing texture-dependent is cached:
 //!   sampler views are rebuilt on every draw because ping-pong pipelines
 //!   change texture *contents* between passes.
 //! * **context loss / recreation** — the context explicitly
-//!   [`clears`](PlanCache::clear) the cache: every cached plan references
-//!   a program object that no longer exists.
+//!   [`clears`](PlanCache::clear) the cache: plans are per-context GL
+//!   state. (The shader memo survives, so recovery relinks under the same
+//!   ids and rebuilds plans without recompiling.)
 //!
 //! Capacity is bounded ([`PLAN_CACHE_CAP`]) with FIFO-order reinsertion on
 //! hit, which approximates LRU: a plan re-used this draw goes to the back
@@ -44,17 +51,15 @@ use mgpu_shader::hash::Fnv64;
 /// for the second multiply to run fully warm.
 pub(crate) const PLAN_CACHE_CAP: usize = 128;
 
-/// Everything that determines a [`DrawPlan`], hashed where the full value
-/// would be heavy. Hash collisions (64-bit FNV-1a over content) are
-/// tolerated: a colliding plan would still be executed with a matching
-/// program handle, engine and target geometry.
+/// Everything that determines a [`DrawPlan`]. The shader is named exactly
+/// by its id; uniform values and varying corners enter as 64-bit FNV-1a
+/// content hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    /// Program object handle (never reused within a context's lifetime).
-    pub program: u32,
-    /// [`Shader::stable_hash`](mgpu_shader::ir::Shader) of the program's
-    /// compiled shader — catches relinking a handle to new source.
-    pub shader_hash: u64,
+    /// Shader id from the context's shader memo: shared by every program
+    /// linked from the same source under the same compile options, and
+    /// never reused by the context for another compilation.
+    pub shader: u64,
     /// [`UniformValues::stable_hash`](mgpu_shader::UniformValues) of the
     /// program's bound uniforms at draw time.
     pub uniform_hash: u64,
@@ -256,10 +261,9 @@ mod tests {
         .expect("test plan builds")
     }
 
-    fn key(program: u32, uniform_hash: u64) -> PlanKey {
+    fn key(shader: u64, uniform_hash: u64) -> PlanKey {
         PlanKey {
-            program,
-            shader_hash: 1,
+            shader,
             uniform_hash,
             engine: Engine::Scalar,
             spec: false,

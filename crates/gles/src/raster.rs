@@ -763,7 +763,7 @@ fn run_seat_span(
 /// texture *contents*: the executable shader (specialised against the
 /// bound uniforms on the batched tier), the column-hoisted interpolation
 /// table for the target width, and per-worker engine seats. The context's
-/// plan cache keys these by (program, shader hash, uniform hash, engine,
+/// plan cache keys these by (shader id, uniform hash, engine, spec,
 /// target geometry, corners), so a cached plan is only ever executed with
 /// exactly the state it was built from; sampler views are *not* part of a
 /// plan — texture contents change between GPGPU passes — and are passed

@@ -9,11 +9,12 @@
 //! identical to the previous pass — the *Rendering Elimination* observation
 //! applied to GPGPU kernels.
 //!
-//! [`TileSigCache`] keys cached tile outputs exactly like the
-//! [plan cache](crate::plan_cache) keys draw plans — (program, shader hash,
-//! uniform hash, engine, spec, target geometry, corners) — refined to one
-//! entry per platform tile rect. Each entry carries a 128-bit *input
-//! signature* covering everything the tile's fragments can observe:
+//! [`TileSigCache`] keys cached tile outputs by the drawing program's
+//! handle plus the [plan cache](crate::plan_cache)'s draw-plan key
+//! (shader id, uniform hash, engine, spec, target geometry, corners),
+//! refined to one entry per platform tile rect. Each entry carries a
+//! 128-bit *input signature* covering everything the tile's fragments
+//! can observe:
 //!
 //! * the column-table slice of every varying over the tile's columns,
 //! * the tile's row range and the target height (the row interpolation
@@ -74,15 +75,19 @@ pub(crate) const SIG_DESCRIPTOR_BYTES: u64 = 64;
 /// modelled hardware, so skipped tiles never re-read their full inputs.
 pub(crate) const SIG_BYTES_PER_SLOT_COLUMN: u64 = 8;
 
-/// Identity of one cached tile: the owning draw-plan key plus the clipped
-/// tile rect. Hash collisions on the embedded content hashes are tolerated
-/// for the same reason as in the plan cache; the 128-bit input signature is
-/// checked on every hit besides.
+/// Identity of one cached tile: the drawing program, its draw-plan key and
+/// the clipped tile rect. The 128-bit input signature is checked on every
+/// hit besides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct TileKey {
-    /// The draw-plan identity (program, shader/uniform hashes, engine,
-    /// spec, target geometry, corners). Note the *render target* is
-    /// absent: ping-pong passes share entries on purpose.
+    /// Handle of the program that drew the tile (never reused within a
+    /// context). Programs linked from one source share plans but not
+    /// tiles, so whether a draw's tiles replay — which changes its
+    /// simulated time — depends only on its own program's earlier draws.
+    pub program: u32,
+    /// The draw-plan identity (shader id, uniform hash, engine, spec,
+    /// target geometry, corners). Note the *render target* is absent:
+    /// ping-pong passes share entries on purpose.
     pub plan: PlanKey,
     /// Clipped tile rect, `x0..x1` × `y0..y1` in target pixels.
     pub x0: u32,
@@ -95,8 +100,9 @@ pub(crate) struct TileKey {
 }
 
 impl TileKey {
-    pub(crate) fn new(plan: PlanKey, r: &TileRect) -> Self {
+    pub(crate) fn new(program: u32, plan: PlanKey, r: &TileRect) -> Self {
         TileKey {
+            program,
             plan,
             x0: r.x0,
             x1: r.x1,
@@ -428,11 +434,10 @@ mod tests {
     use crate::plan_cache::corners_hash;
     use crate::raster::texcoord_corners;
 
-    fn plan_key(program: u32, uniform_hash: u64) -> PlanKey {
+    fn plan_key() -> PlanKey {
         PlanKey {
-            program,
-            shader_hash: 1,
-            uniform_hash,
+            shader: 1,
+            uniform_hash: 0,
             engine: Engine::Scalar,
             spec: false,
             width: 64,
@@ -454,7 +459,7 @@ mod tests {
     }
 
     fn key(program: u32, x0: u32, y0: u32) -> TileKey {
-        TileKey::new(plan_key(program, 0), &rect(x0, y0))
+        TileKey::new(program, plan_key(), &rect(x0, y0))
     }
 
     #[test]

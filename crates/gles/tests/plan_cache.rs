@@ -1,15 +1,23 @@
 //! Property suite for the per-context draw-plan cache.
 //!
 //! The cache invalidates *by keying*: every input a plan captures is part
-//! of its key, so mutating any of them (uniforms, program, engine, target
+//! of its key, so mutating any of them (uniforms, shader, engine, target
 //! geometry, varying corners) must produce a miss, while draws that only
-//! change non-captured state (texture contents, row bands) must hit and
-//! still render correctly. A scripted mutation sequence is replayed under
-//! cache-on, cache-off and legacy-dispatch configurations and must be
-//! byte-identical throughout, with the simulated-time report unchanged.
+//! change non-captured state (texture contents, row bands, which of two
+//! programs linked from one source draws) must hit and still render
+//! correctly. The shader enters the key as the id the context's shader
+//! memo assigned at link time, so the memo's contract — faults before
+//! lookups, bounded FIFO, ids never reused — is pinned here too. A
+//! scripted mutation sequence is replayed under cache-on, cache-off and
+//! legacy-dispatch configurations and must be byte-identical throughout,
+//! with the simulated-time report unchanged.
 
 use mgpu_gles::raster::texcoord_corners;
-use mgpu_gles::{DrawQuad, Engine, ExecConfig, Gl, TextureFormat};
+use mgpu_gles::{
+    DrawQuad, Engine, ExecConfig, FaultEvent, FaultKind, FaultPlan, FaultSite, Gl, GlError,
+    TextureFormat,
+};
+use mgpu_shader::OptOptions;
 use mgpu_tbdr::Platform;
 
 const SCALE_PROG: &str = "
@@ -68,23 +76,34 @@ fn repeat_draws_hit_and_uniform_changes_rekey() {
 }
 
 #[test]
-fn program_identity_and_source_both_key() {
+fn twin_programs_share_plans_while_source_and_options_rekey() {
     let mut gl = cached_gl();
     let a = gl.create_program(SCALE_PROG).expect("compiles");
     gl.use_program(Some(a)).expect("uses");
     gl.set_uniform_scalar(a, "u_k", 1.0).expect("sets");
     let via_a = draw(&mut gl);
 
-    // A second program linked from the *same source* still misses: plans
-    // are keyed by program handle, and handles are never reused.
+    // A second program linked from the *same source* gets the memoised
+    // shader id, so with equal uniforms it hits `a`'s plan.
     let twin = gl.create_program(SCALE_PROG).expect("compiles");
     gl.use_program(Some(twin)).expect("uses");
     gl.set_uniform_scalar(twin, "u_k", 1.0).expect("sets");
     assert_eq!(draw(&mut gl), via_a);
     let s = gl.plan_cache_stats();
-    assert_eq!((s.misses, s.hits), (2, 0));
+    assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1));
 
-    // Different source ⇒ different shader hash ⇒ miss, and the draw
+    // The same source under other optimiser options is another
+    // compilation: a miss, drawing the same bytes.
+    let unfused = gl
+        .create_program_with(SCALE_PROG, &OptOptions::without_mad_fusion())
+        .expect("compiles");
+    gl.use_program(Some(unfused)).expect("uses");
+    gl.set_uniform_scalar(unfused, "u_k", 1.0).expect("sets");
+    assert_eq!(draw(&mut gl), via_a);
+    let s = gl.plan_cache_stats();
+    assert_eq!((s.misses, s.hits, s.entries), (2, 1, 2));
+
+    // Different source ⇒ different shader id ⇒ miss, and the draw
     // reflects the new program immediately.
     let other = gl
         .create_program("varying vec2 v_coord;\nvoid main() { gl_FragColor = vec4(1.0); }")
@@ -93,6 +112,103 @@ fn program_identity_and_source_both_key() {
     let white = draw(&mut gl);
     assert!(white.iter().all(|&b| b == 255));
     assert_eq!(gl.plan_cache_stats().misses, 3);
+}
+
+/// The compile-fault hook runs before the memo lookup: an injected
+/// `compile@N` fails that link even when the memo holds the source, and
+/// the fault trail reads exactly as it would without the memo.
+#[test]
+fn injected_compile_fault_fires_on_a_memo_hit() {
+    let mut gl = cached_gl();
+    gl.install_faults(FaultPlan::seeded(7).compile_fail_at(1));
+    let first = gl.create_program(SCALE_PROG).expect("compile #0 links");
+    let err = gl
+        .create_program(SCALE_PROG)
+        .expect_err("compile #1 is injected despite the memo hit");
+    assert!(matches!(err, GlError::OutOfMemory(_)), "{err}");
+    let retried = gl.create_program(SCALE_PROG).expect("compile #2 links");
+    assert_eq!(
+        gl.fault_trail(),
+        &[FaultEvent {
+            kind: FaultKind::CompileFail,
+            site: FaultSite::Compile,
+            index: 1,
+        }]
+    );
+
+    // The retried link is a memo hit: it shares the first program's plan.
+    for prog in [first, retried] {
+        gl.use_program(Some(prog)).expect("uses");
+        gl.set_uniform_scalar(prog, "u_k", 1.0).expect("sets");
+        draw(&mut gl);
+    }
+    let s = gl.plan_cache_stats();
+    assert_eq!((s.misses, s.hits), (1, 1));
+}
+
+/// The memo holds the 64 newest compilations. A source it evicted
+/// relinks under a fresh shader id, so its old plan — still cached — is
+/// never served; sources still memoised keep their id and hit.
+#[test]
+fn memo_eviction_relinks_under_a_fresh_id() {
+    const MEMO_CAP: usize = 64;
+    let source = |k: usize| {
+        format!(
+            "varying vec2 v_coord;\n\
+             void main() {{ gl_FragColor = vec4(v_coord, {k}.0 / 255.0, 1.0); }}"
+        )
+    };
+    let link_and_draw = |gl: &mut Gl, k: usize| {
+        let prog = gl.create_program(&source(k)).expect("compiles");
+        gl.use_program(Some(prog)).expect("uses");
+        draw(gl)
+    };
+    let mut gl = cached_gl();
+    let cap = MEMO_CAP as u64;
+
+    // One more distinct source than the memo holds evicts source 0.
+    let first: Vec<Vec<u8>> = (0..=MEMO_CAP).map(|k| link_and_draw(&mut gl, k)).collect();
+    let s = gl.plan_cache_stats();
+    assert_eq!((s.misses, s.hits, s.entries), (cap + 1, 0, MEMO_CAP + 1));
+
+    // Sources 1..=64 are still memoised: relinking them hits their plans.
+    for (k, want) in first.iter().enumerate().skip(1) {
+        assert_eq!(&link_and_draw(&mut gl, k), want);
+    }
+    let s = gl.plan_cache_stats();
+    assert_eq!((s.misses, s.hits), (cap + 1, cap));
+
+    // Source 0 recompiles under a fresh id: a miss beside its old plan.
+    assert_eq!(link_and_draw(&mut gl, 0), first[0]);
+    let s = gl.plan_cache_stats();
+    assert_eq!((s.misses, s.hits, s.entries), (cap + 2, cap, MEMO_CAP + 2));
+}
+
+/// With tile skip on, two programs linked from one source share a plan
+/// but not tiles: whether a draw's tiles replay (which changes simulated
+/// time) depends only on its own program's earlier draws.
+#[test]
+fn twin_programs_keep_separate_tile_entries() {
+    // SGX tiles are 16×16, so a 32×32 draw covers four.
+    let mut gl = Gl::new(Platform::sgx_545(), 32, 32);
+    gl.set_exec_config(
+        ExecConfig::with_threads(2)
+            .with_pool(true)
+            .with_tile_skip(true),
+    );
+    gl.set_plan_cache_enabled(true);
+    let mut shots = Vec::new();
+    for _ in 0..2 {
+        let prog = gl.create_program(SCALE_PROG).expect("compiles");
+        gl.use_program(Some(prog)).expect("uses");
+        gl.set_uniform_scalar(prog, "u_k", 1.0).expect("sets");
+        shots.push(draw(&mut gl));
+    }
+    assert_eq!(shots[0], shots[1]);
+    let t = gl.tile_skip_stats();
+    assert_eq!((t.hits, t.misses, t.entries), (0, 8, 8));
+    let p = gl.plan_cache_stats();
+    assert_eq!((p.misses, p.hits), (1, 1));
 }
 
 #[test]

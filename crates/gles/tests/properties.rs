@@ -235,6 +235,7 @@ fn random_call_sequences_never_corrupt_the_context() {
             }
             let now = gl.elapsed();
             assert!(now >= last_elapsed, "time went backwards");
+            assert_eq!(now, gl.report().total_time);
             last_elapsed = now;
         }
 
@@ -252,5 +253,22 @@ fn random_call_sequences_never_corrupt_the_context() {
             .expect("draw still works");
         let px = gl.read_pixels().expect("read");
         assert_eq!(px[0], 1);
+
+        // The clock and the report still agree across a recreation, whose
+        // cost lands on the next frame.
+        gl.recreate();
+        assert_eq!(gl.elapsed(), gl.report().total_time);
+        let before = gl.elapsed();
+        let prog = gl.create_program(PROG).expect("relinks after recreate");
+        let tex = gl.create_texture();
+        gl.tex_image_2d(tex, 16, 16, TextureFormat::Rgba8, Some(&data))
+            .expect("upload");
+        gl.bind_texture(0, Some(tex)).expect("bind");
+        gl.use_program(Some(prog)).expect("use");
+        gl.draw_quad(&DrawQuad::fullscreen())
+            .expect("draw after recreate");
+        gl.finish();
+        assert!(gl.elapsed() > before);
+        assert_eq!(gl.elapsed(), gl.report().total_time);
     });
 }

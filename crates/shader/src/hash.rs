@@ -1,11 +1,12 @@
-//! Stable structural hashing for shaders and uniform bindings.
+//! Stable content hashing for uniform bindings and other draw inputs.
 //!
-//! The draw-plan cache in `mgpu-gles` keys cached execution state by the
-//! *content* of a shader and its bound uniforms, so the hashes here must
-//! be stable across processes and runs — [`std::collections::HashMap`]'s
-//! `RandomState` (or anything keyed off addresses or iteration order) is
-//! unusable. Everything is hashed through 64-bit FNV-1a over an explicit,
-//! documented byte encoding:
+//! The draw-plan and tile caches in `mgpu-gles` key cached execution
+//! state by the *content* of bound uniforms, varying corners and texel
+//! regions, so the hashes here must be stable across processes and
+//! runs — [`std::collections::HashMap`]'s `RandomState` (or anything
+//! keyed off addresses or iteration order) is unusable. Everything is
+//! hashed through 64-bit FNV-1a over an explicit, documented byte
+//! encoding:
 //!
 //! * `f32` values hash as their IEEE-754 bit patterns, so `-0.0 != 0.0`
 //!   and every NaN payload is distinguished — bitwise identity is the
@@ -14,11 +15,9 @@
 //! * uniform bindings hash in **name-sorted** order, making the hash
 //!   independent of insertion order and of `HashMap` iteration order.
 //!
-//! These are content hashes for caching, not cryptographic digests;
-//! collisions are astronomically unlikely but tolerable only because the
-//! cache key also carries the program handle and target geometry.
+//! These are 64-bit content hashes for caching, not cryptographic
+//! digests.
 
-use crate::ir::{InputKind, Op, Shader};
 use crate::vm::UniformValues;
 
 /// 64-bit FNV-1a running hash with explicit write methods.
@@ -93,102 +92,6 @@ pub fn hash_f32_bits(values: &[f32]) -> u64 {
     h.finish()
 }
 
-/// A small distinct tag per opcode so structurally different instructions
-/// can never hash alike through payload coincidence.
-fn op_tag(op: &Op) -> u8 {
-    match op {
-        Op::Const(_) => 0,
-        Op::Mov => 1,
-        Op::Neg => 2,
-        Op::Add => 3,
-        Op::Sub => 4,
-        Op::Mul => 5,
-        Op::Mad => 6,
-        Op::Mul24 => 7,
-        Op::Div => 8,
-        Op::Dot => 9,
-        Op::Min => 10,
-        Op::Max => 11,
-        Op::Clamp => 12,
-        Op::Floor => 13,
-        Op::Fract => 14,
-        Op::Abs => 15,
-        Op::Sqrt => 16,
-        Op::Pow => 17,
-        Op::ModOp => 18,
-        Op::Mix => 19,
-        Op::Sin => 20,
-        Op::Cos => 21,
-        Op::Exp2 => 22,
-        Op::Log2 => 23,
-        Op::InverseSqrt => 24,
-        Op::Sign => 25,
-        Op::Step => 26,
-        Op::Cmp(_) => 27,
-        Op::And => 28,
-        Op::Or => 29,
-        Op::Not => 30,
-        Op::Select => 31,
-        Op::Swizzle(_) => 32,
-        Op::Merge { .. } => 33,
-        Op::Construct => 34,
-        Op::TexFetch { .. } => 35,
-    }
-}
-
-impl Shader {
-    /// A stable structural hash of the compiled shader: instructions
-    /// (opcodes, immediate bit patterns, operands), input and sampler
-    /// declarations, register count and output register. Equal shaders
-    /// hash equal in every process; any structural difference — down to a
-    /// single immediate bit — changes the hash with overwhelming
-    /// probability.
-    #[must_use]
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u32(self.reg_count);
-        h.write_u32(self.output.0);
-        h.write_u64(self.inputs.len() as u64);
-        for slot in &self.inputs {
-            h.write_str(&slot.name);
-            h.write_u8(match slot.kind {
-                InputKind::Uniform => 0,
-                InputKind::Varying => 1,
-            });
-            h.write_u8(slot.width);
-            h.write_u32(slot.reg.0);
-        }
-        h.write_u64(self.samplers.len() as u64);
-        for s in &self.samplers {
-            h.write_str(&s.name);
-            h.write_u8(s.unit);
-        }
-        h.write_u64(self.instrs.len() as u64);
-        for i in &self.instrs {
-            h.write_u32(i.dst.0);
-            h.write_u8(i.width);
-            h.write_u8(op_tag(&i.op));
-            match &i.op {
-                Op::Const(v) => {
-                    for &c in v {
-                        h.write_f32(c);
-                    }
-                }
-                Op::Cmp(c) => h.write_u8(*c as u8),
-                Op::Swizzle(p) => h.write(p),
-                Op::Merge { select } => h.write(select),
-                Op::TexFetch { sampler } => h.write_u8(*sampler),
-                _ => {}
-            }
-            h.write_u64(i.srcs.len() as u64);
-            for s in &i.srcs {
-                h.write_u32(s.0);
-            }
-        }
-        h.finish()
-    }
-}
-
 impl UniformValues {
     /// A stable hash of the bound uniform values: name-sorted, values by
     /// f32 bit pattern. Independent of insertion order; sensitive to every
@@ -213,19 +116,6 @@ impl UniformValues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile;
-
-    #[test]
-    fn shader_hash_is_stable_and_content_sensitive() {
-        let a =
-            compile("varying vec2 v; void main() { gl_FragColor = vec4(v, 0.0, 1.0); }").unwrap();
-        let a2 =
-            compile("varying vec2 v; void main() { gl_FragColor = vec4(v, 0.0, 1.0); }").unwrap();
-        let b =
-            compile("varying vec2 v; void main() { gl_FragColor = vec4(v, 0.5, 1.0); }").unwrap();
-        assert_eq!(a.stable_hash(), a2.stable_hash());
-        assert_ne!(a.stable_hash(), b.stable_hash());
-    }
 
     #[test]
     fn uniform_hash_ignores_insertion_order() {

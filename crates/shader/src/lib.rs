@@ -79,7 +79,7 @@ pub use vm::{
 use ir::Shader;
 
 /// Everything configurable about a compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CompileOptions {
     /// Peephole passes to run.
     pub opt: OptOptions,

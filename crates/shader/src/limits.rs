@@ -9,7 +9,7 @@ use crate::error::{CompileError, CompileErrorKind};
 use crate::ir::Shader;
 
 /// Resource limits enforced after optimisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Limits {
     /// Maximum IR instructions.
     pub max_instructions: u32,

@@ -14,7 +14,7 @@ use crate::ir::{InputKind, Instr, Op, Reg, Shader};
 use crate::vm::{eval_pure_op, register_widths, UniformValues};
 
 /// Which optimisation passes run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptOptions {
     /// Fold instructions whose operands are all constants.
     pub fold_constants: bool,

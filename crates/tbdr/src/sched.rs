@@ -95,6 +95,8 @@ pub struct PipelineSim {
     readers: HashMap<ResourceId, SimTime>,
     prev_frag_end: SimTime,
     frames: Vec<FrameTiming>,
+    /// Running maximum of `retire.max(next_cpu_free)` over `frames`.
+    total_time: SimTime,
     traffic: Traffic,
     busy: UnitBusy,
 }
@@ -115,6 +117,7 @@ impl PipelineSim {
             readers: HashMap::new(),
             prev_frag_end: SimTime::ZERO,
             frames: Vec::new(),
+            total_time: SimTime::ZERO,
             traffic: Traffic::default(),
             busy: UnitBusy::default(),
         }
@@ -455,6 +458,9 @@ impl PipelineSim {
             dependency_flush,
             vsync_wait,
         };
+        // An earlier frame's asynchronous copy can retire after later
+        // frames, so the end of the simulation is a running maximum.
+        self.total_time = self.total_time.max(retire.max(self.cpu_free));
         self.frames.push(timing.clone());
         timing
     }
@@ -466,41 +472,36 @@ impl PipelineSim {
         }
     }
 
+    /// Simulated time elapsed so far: the latest instant any submitted
+    /// frame retires or releases the CPU, which is the `total_time` of
+    /// [`PipelineSim::report`]. Kept as a running maximum, so reading it
+    /// costs the same however many frames were submitted.
+    #[must_use]
+    pub fn total_time(&self) -> SimTime {
+        self.total_time
+    }
+
     /// Snapshots the report so far without ending the simulation.
     #[must_use]
     pub fn report(&self) -> SimReport {
-        let total = self
-            .frames
-            .iter()
-            .map(|f| f.retire.max(f.next_cpu_free))
-            .max()
-            .unwrap_or(SimTime::ZERO);
         SimReport {
             platform_name: self.platform.name.clone(),
             frames: self.frames.clone(),
             traffic: self.traffic,
             busy: self.busy,
-            total_time: total,
+            total_time: self.total_time,
         }
     }
 
     /// Finishes the simulation and returns the report.
     #[must_use]
     pub fn finish(self) -> SimReport {
-        // An earlier frame's asynchronous copy can retire after later
-        // frames, so the end of the simulation is the max across all frames.
-        let total = self
-            .frames
-            .iter()
-            .map(|f| f.retire.max(f.next_cpu_free))
-            .max()
-            .unwrap_or(SimTime::ZERO);
         SimReport {
             platform_name: self.platform.name.clone(),
             frames: self.frames,
             traffic: self.traffic,
             busy: self.busy,
-            total_time: total,
+            total_time: self.total_time,
         }
     }
 }

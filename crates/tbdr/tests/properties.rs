@@ -2,8 +2,8 @@
 
 use mgpu_prop::{run_cases, Rng};
 use mgpu_tbdr::{
-    AllocKind, CopyOut, FragmentProfile, FrameWork, PipelineSim, Platform, RenderTarget,
-    ResourceId, SimTime, SyncOp, Upload,
+    AllocKind, CopyOut, FragmentProfile, FrameTiming, FrameWork, PipelineSim, Platform,
+    RenderTarget, ResourceId, SimTime, SyncOp, Upload,
 };
 
 /// A small but varied fragment profile.
@@ -101,25 +101,60 @@ fn stages_ordered_and_units_exclusive() {
     });
 }
 
-/// Submitting more work never makes the simulation end earlier.
+/// Submits `frames` one by one, checking after every submit that the
+/// running `total_time()` equals the report's total and never decreases.
+fn submit_checking_total(platform: Platform, frames: &[FrameWork]) -> Vec<FrameTiming> {
+    let mut sim = PipelineSim::new(platform);
+    let mut prev = SimTime::ZERO;
+    let mut timings = Vec::new();
+    for f in frames {
+        timings.push(sim.submit(f));
+        let total = sim.total_time();
+        assert_eq!(total, sim.report().total_time);
+        assert!(total >= prev, "total time went backwards");
+        prev = total;
+    }
+    assert_eq!(sim.finish().total_time, prev);
+    timings
+}
+
+/// Submitting more work never makes the simulation end earlier, and the
+/// O(1) running total always matches the report — including when an
+/// earlier frame's asynchronous copy retires after later frames.
 #[test]
 fn total_time_is_monotone() {
     run_cases(64, |rng| {
         let n = rng.usize_in(2, 16);
         let frames: Vec<FrameWork> = (0..n).map(|_| gen_frame(rng)).collect();
-        let platform = Platform::videocore_iv();
-        let mut totals = Vec::new();
-        for n in 1..=frames.len() {
-            let mut sim = PipelineSim::new(platform.clone());
-            for f in &frames[..n] {
-                sim.submit(f);
-            }
-            totals.push(sim.finish().total_time);
-        }
-        for w in totals.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
+        submit_checking_total(Platform::videocore_iv(), &frames);
     });
+
+    // A large copy out of the first frame, then small unsynchronised frames
+    // into a texture that never waits for it: the copy retires last.
+    let profile = FragmentProfile {
+        alu_cycles: 1.0,
+        output_bytes: 4.0,
+        ..FragmentProfile::default()
+    };
+    let mut copying = FrameWork::simple(64, 64, profile);
+    copying.copy_out = Some(CopyOut {
+        dest: ResourceId::from_raw(70),
+        bytes: 16 << 20,
+        alloc: AllocKind::Fresh,
+    });
+    let mut small = FrameWork::simple(64, 64, profile);
+    small.target = RenderTarget::Texture {
+        storage: ResourceId::from_raw(71),
+        fresh: false,
+    };
+    for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
+        let t = submit_checking_total(platform, &[copying.clone(), small.clone(), small.clone()]);
+        let (_, copy_end) = t[0].copy.expect("the first frame copies");
+        assert!(
+            t[2].retire.max(t[2].next_cpu_free) < copy_end,
+            "the copy must outlive the later frames"
+        );
+    }
 }
 
 /// The schedule for a prefix of the frame stream is unaffected by what
