@@ -84,11 +84,13 @@ impl Range {
     ///
     /// # Panics
     ///
-    /// Panics if `hi <= lo` or either bound is non-finite.
+    /// Panics if `hi <= lo`, either bound is non-finite, or the span
+    /// `hi - lo` overflows to infinity (every value would then encode to
+    /// zero bytes and decode to NaN).
     #[must_use]
     pub fn new(lo: f32, hi: f32) -> Self {
         assert!(
-            lo.is_finite() && hi.is_finite() && hi > lo,
+            lo.is_finite() && hi.is_finite() && hi > lo && (hi - lo).is_finite(),
             "bad range [{lo}, {hi})"
         );
         Range { lo, hi }
@@ -131,27 +133,112 @@ impl Range {
 /// Largest f32 strictly below 1.0 — the top of the encodable interval.
 const ONE_MINUS_EPS: f32 = 1.0 - f32::EPSILON / 2.0;
 
-/// Encodes one normalised value `t ∈ [0, 1)` into radix-255 bytes,
-/// most significant first.
-fn encode_bytes(t: f32, out: &mut [u8]) {
-    let mut r = f64::from(t.clamp(0.0, ONE_MINUS_EPS));
-    for b in out.iter_mut() {
-        r *= 255.0;
-        let digit = r.floor().min(255.0);
-        *b = digit as u8;
-        r -= digit;
+/// Values converted together: the codec works on groups of this many
+/// values so that its fixed-width digit loops compile to vector code.
+const LANES: usize = 8;
+
+/// 2^52. Adding it to a non-negative f64 below 2^52 rounds the value to an
+/// integer, which then sits in the low bits of the sum's mantissa.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// The radix weights `255^-k` for `k = 1..=4`, built by the same `w /= 255`
+/// division chain the scalar decode runs at run time, so each weight has
+/// exactly that chain's bits (a closed form such as `1 / 255^4` rounds
+/// differently).
+const WEIGHTS: [f64; 4] = {
+    let mut weights = [0.0; 4];
+    let mut w = 1.0f64;
+    let mut k = 0;
+    while k < weights.len() {
+        w /= 255.0;
+        weights[k] = w;
+        k += 1;
+    }
+    weights
+};
+
+/// Encodes one lane group into `W` radix-255 bytes per value, most
+/// significant first.
+///
+/// The f64 digit arithmetic is the classic `r *= 255; d = floor(r);
+/// r -= d` cascade. Its floor is exact without libm: `(p + 2^52) - 2^52`
+/// rounds `p` to an integer, and one is subtracted when that rounded up.
+/// The digit byte is then the low byte of `d + 2^52`. [`Range::normalize`]
+/// already clamps into `[0, 1)` (or yields `-0.0`), so every `r` stays
+/// below 1, every `p` below 255, and no digit needs a clamp of its own.
+#[inline(always)]
+fn encode_group<const W: usize>(values: &[f32; LANES], range: &Range, out: &mut [[u8; W]; LANES]) {
+    let mut r = [0.0f64; LANES];
+    for (r, &v) in r.iter_mut().zip(values) {
+        *r = f64::from(range.normalize(v));
+    }
+    let mut digits = [[0u8; LANES]; W];
+    for row in &mut digits {
+        for (byte, r) in row.iter_mut().zip(&mut r) {
+            let p = *r * 255.0;
+            let rounded = (p + TWO_POW_52) - TWO_POW_52;
+            let digit = if rounded > p { rounded - 1.0 } else { rounded };
+            *byte = (digit + TWO_POW_52).to_bits() as u8;
+            *r = p - digit;
+        }
+    }
+    for (lane, texel) in out.iter_mut().enumerate() {
+        for (byte, row) in texel.iter_mut().zip(&digits) {
+            *byte = row[lane];
+        }
     }
 }
 
-/// Decodes radix-255 bytes back to a normalised value.
-fn decode_bytes(bytes: &[u8]) -> f32 {
-    let mut t = 0.0f64;
-    let mut w = 1.0f64;
-    for &b in bytes {
-        w /= 255.0;
-        t += f64::from(b) * w;
+/// Decodes one lane group of `W`-byte texels back to values of `range`.
+#[inline(always)]
+fn decode_group<const W: usize>(texels: &[[u8; W]; LANES], range: &Range, out: &mut [f32; LANES]) {
+    let mut t = [0.0f64; LANES];
+    for (k, w) in WEIGHTS.iter().enumerate().take(W) {
+        for (t, texel) in t.iter_mut().zip(texels) {
+            *t += f64::from(texel[k]) * w;
+        }
     }
-    t as f32
+    for (out, t) in out.iter_mut().zip(t) {
+        *out = range.denormalize(t as f32);
+    }
+}
+
+/// [`Encoding::encode`] at a fixed width of `W` bytes per value.
+fn encode_width<const W: usize>(values: &[f32], range: &Range) -> Vec<u8> {
+    let mut out = vec![[0u8; W]; values.len()];
+    let (groups, tail) = values.as_chunks::<LANES>();
+    let (out_groups, out_tail) = out.as_chunks_mut::<LANES>();
+    for (group, texels) in groups.iter().zip(out_groups) {
+        encode_group(group, range, texels);
+    }
+    if !tail.is_empty() {
+        let mut group = [0.0f32; LANES];
+        group[..tail.len()].copy_from_slice(tail);
+        let mut texels = [[0u8; W]; LANES];
+        encode_group(&group, range, &mut texels);
+        out_tail.copy_from_slice(&texels[..tail.len()]);
+    }
+    out.into_flattened()
+}
+
+/// [`Encoding::decode`] at a fixed width of `W` bytes per value.
+fn decode_width<const W: usize>(bytes: &[u8], range: &Range) -> Vec<f32> {
+    let (texels, rest) = bytes.as_chunks::<W>();
+    assert!(rest.is_empty(), "byte slice not a whole number of texels");
+    let mut out = vec![0.0f32; texels.len()];
+    let (groups, tail) = texels.as_chunks::<LANES>();
+    let (out_groups, out_tail) = out.as_chunks_mut::<LANES>();
+    for (group, values) in groups.iter().zip(out_groups) {
+        decode_group(group, range, values);
+    }
+    if !tail.is_empty() {
+        let mut group = [[0u8; W]; LANES];
+        group[..tail.len()].copy_from_slice(tail);
+        let mut values = [0.0f32; LANES];
+        decode_group(&group, range, &mut values);
+        out_tail.copy_from_slice(&values[..tail.len()]);
+    }
+    out
 }
 
 impl Encoding {
@@ -170,12 +257,10 @@ impl Encoding {
     /// ```
     #[must_use]
     pub fn encode(&self, values: &[f32], range: &Range) -> Vec<u8> {
-        let n = self.bytes_per_value();
-        let mut out = vec![0u8; values.len() * n];
-        for (v, chunk) in values.iter().zip(out.chunks_exact_mut(n)) {
-            encode_bytes(range.normalize(*v), chunk);
+        match self {
+            Encoding::Fp32 => encode_width::<4>(values, range),
+            Encoding::Fp24 => encode_width::<3>(values, range),
         }
-        out
     }
 
     /// Decodes texel bytes produced by [`Encoding::encode`] or by a kernel's
@@ -186,16 +271,10 @@ impl Encoding {
     /// Panics if `bytes` is not a multiple of the encoding width.
     #[must_use]
     pub fn decode(&self, bytes: &[u8], range: &Range) -> Vec<f32> {
-        let n = self.bytes_per_value();
-        assert_eq!(
-            bytes.len() % n,
-            0,
-            "byte slice not a whole number of texels"
-        );
-        bytes
-            .chunks_exact(n)
-            .map(|c| range.denormalize(decode_bytes(c)))
-            .collect()
+        match self {
+            Encoding::Fp32 => decode_width::<4>(bytes, range),
+            Encoding::Fp24 => decode_width::<3>(bytes, range),
+        }
     }
 
     /// The kernel-language source of the reconstruction function
@@ -224,6 +303,221 @@ impl Encoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar per-value encode the lane-group codec replaced, kept as
+    /// the oracle it must match byte for byte.
+    fn encode_bytes(t: f32, out: &mut [u8]) {
+        let mut r = f64::from(t.clamp(0.0, ONE_MINUS_EPS));
+        for b in out.iter_mut() {
+            r *= 255.0;
+            let digit = r.floor().min(255.0);
+            *b = digit as u8;
+            r -= digit;
+        }
+    }
+
+    /// The scalar per-value decode the lane-group codec replaced.
+    fn decode_bytes(bytes: &[u8]) -> f32 {
+        let mut t = 0.0f64;
+        let mut w = 1.0f64;
+        for &b in bytes {
+            w /= 255.0;
+            t += f64::from(b) * w;
+        }
+        t as f32
+    }
+
+    const ENCODINGS: [Encoding; 2] = [Encoding::Fp32, Encoding::Fp24];
+
+    /// Number of `values` whose codec bytes differ from the oracle's.
+    fn encode_mismatches(enc: Encoding, values: &[f32], range: &Range) -> usize {
+        let n = enc.bytes_per_value();
+        let got = enc.encode(values, range);
+        assert_eq!(got.len(), values.len() * n);
+        let mut want = [0u8; 4];
+        values
+            .iter()
+            .zip(got.chunks_exact(n))
+            .filter(|(v, got)| {
+                encode_bytes(range.normalize(**v), &mut want[..n]);
+                *got != &want[..n]
+            })
+            .count()
+    }
+
+    /// Number of texels in `bytes` whose codec value differs from the
+    /// oracle's in any bit.
+    fn decode_mismatches(enc: Encoding, bytes: &[u8], range: &Range) -> usize {
+        let got = enc.decode(bytes, range);
+        let texels = bytes.chunks_exact(enc.bytes_per_value());
+        assert_eq!(got.len(), texels.len());
+        got.iter()
+            .zip(texels)
+            .filter(|(got, texel)| {
+                got.to_bits() != range.denormalize(decode_bytes(texel)).to_bits()
+            })
+            .count()
+    }
+
+    /// Encode mismatches over the f32 bit patterns of `[0, 1)` taken every
+    /// `stride`th, in batches so memory stays small.
+    fn unit_interval_mismatches(enc: Encoding, stride: usize) -> usize {
+        let mut patterns = (0..1.0f32.to_bits()).step_by(stride).map(f32::from_bits);
+        let mut batch = Vec::with_capacity(1 << 16);
+        let mut mismatches = 0;
+        loop {
+            batch.clear();
+            batch.extend(patterns.by_ref().take(1 << 16));
+            if batch.is_empty() {
+                return mismatches;
+            }
+            mismatches += encode_mismatches(enc, &batch, &Range::unit());
+        }
+    }
+
+    /// Decode mismatches over every `stride`th texel pattern of `enc`'s
+    /// width.
+    fn pattern_mismatches(enc: Encoding, stride: usize, range: &Range) -> usize {
+        let n = enc.bytes_per_value();
+        let mut patterns = (0..1u64 << (8 * n)).step_by(stride);
+        let mut batch = Vec::with_capacity(n << 16);
+        let mut mismatches = 0;
+        loop {
+            batch.clear();
+            for p in patterns.by_ref().take(1 << 16) {
+                batch.extend_from_slice(&p.to_be_bytes()[8 - n..]);
+            }
+            if batch.is_empty() {
+                return mismatches;
+            }
+            mismatches += decode_mismatches(enc, &batch, range);
+        }
+    }
+
+    #[test]
+    fn encode_matches_oracle_on_edge_values() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            -1.0,
+            1.0,
+            1.5,
+            2.0,
+            1e30,
+            -1e-30,
+            ONE_MINUS_EPS,
+        ];
+        // Every power of two in [2^-149, 1) with its f32 neighbours.
+        let mut p = f32::from_bits(1);
+        while p < 1.0 {
+            values.extend([p.next_down(), p, p.next_up()]);
+            p *= 2.0;
+        }
+        for range in [
+            Range::unit(),
+            Range::new(-2.0, 6.0),
+            Range::new(1e3, 1e3 + 0.5),
+        ] {
+            for enc in ENCODINGS {
+                assert_eq!(
+                    encode_mismatches(enc, &values, &range),
+                    0,
+                    "{enc:?} {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encode_matches_oracle_on_a_strided_unit_interval_sweep() {
+        // Every 251st bit pattern: about 4.2M values per width.
+        for enc in ENCODINGS {
+            assert_eq!(unit_interval_mismatches(enc, 251), 0, "{enc:?}");
+        }
+    }
+
+    /// Every slice length from empty to two lane groups plus one, so each
+    /// partial-group length is covered in both directions.
+    #[test]
+    fn codec_matches_oracle_at_every_partial_group_length() {
+        let mut rng = mgpu_prop::Rng::new(14);
+        let range = Range::new(-1.0, 3.0);
+        for enc in ENCODINGS {
+            for len in 0..=2 * LANES + 1 {
+                let values: Vec<f32> = (0..len).map(|_| rng.f32(-1.5, 3.5)).collect();
+                assert_eq!(
+                    encode_mismatches(enc, &values, &range),
+                    0,
+                    "{enc:?} len {len}"
+                );
+                let bytes: Vec<u8> = (0..len * enc.bytes_per_value()).map(|_| rng.u8()).collect();
+                assert_eq!(
+                    decode_mismatches(enc, &bytes, &range),
+                    0,
+                    "{enc:?} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_oracle_on_every_three_byte_pattern() {
+        assert_eq!(pattern_mismatches(Encoding::Fp24, 1, &Range::unit()), 0);
+        assert_eq!(
+            pattern_mismatches(Encoding::Fp24, 1, &Range::new(-3.0, 5.0)),
+            0
+        );
+    }
+
+    #[test]
+    fn decode_matches_oracle_on_a_stride_of_four_byte_patterns() {
+        // Every 251st pattern: about 17M texels per range.
+        assert_eq!(pattern_mismatches(Encoding::Fp32, 251, &Range::unit()), 0);
+        assert_eq!(
+            pattern_mismatches(Encoding::Fp32, 251, &Range::new(-3.0, 5.0)),
+            0
+        );
+    }
+
+    #[test]
+    fn weight_constants_match_the_runtime_division_chain() {
+        let mut w = 1.0f64;
+        for weight in WEIGHTS {
+            w /= std::hint::black_box(255.0);
+            assert_eq!(weight.to_bits(), w.to_bits());
+        }
+    }
+
+    /// Every f32 in `[0, 1)`, and `-0.0`, for both widths: the codec is
+    /// exact by sweep, not by sample. Takes about a minute in release:
+    /// `cargo test --release -p mgpu-gpgpu --lib -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive sweep; run with --release -- --ignored"]
+    fn encode_matches_oracle_on_every_unit_interval_f32() {
+        for enc in ENCODINGS {
+            let mismatches =
+                unit_interval_mismatches(enc, 1) + encode_mismatches(enc, &[-0.0], &Range::unit());
+            eprintln!("{enc:?}: {mismatches} mismatches over every f32 in [0, 1)");
+            assert_eq!(mismatches, 0, "{enc:?}");
+        }
+    }
+
+    /// Every four-byte pattern, the decode counterpart of the sweep above
+    /// (the three-byte patterns are all covered by the tier-1 test).
+    #[test]
+    #[ignore = "exhaustive sweep; run with --release -- --ignored"]
+    fn decode_matches_oracle_on_every_four_byte_pattern() {
+        let mismatches = pattern_mismatches(Encoding::Fp32, 1, &Range::unit());
+        eprintln!("Fp32: {mismatches} mismatches over every four-byte pattern");
+        assert_eq!(mismatches, 0);
+    }
 
     #[test]
     fn cpu_round_trip_is_tight() {
@@ -363,6 +657,12 @@ mod tests {
     #[should_panic(expected = "bad range")]
     fn inverted_range_panics() {
         let _ = Range::new(1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad range")]
+    fn overflowing_span_panics() {
+        let _ = Range::new(-3e38, 3e38);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::hadamard_kernel;
+use crate::ops::reduce::check_reduction;
 use crate::ops::{apply_setup, check_size, convert_cost, end_pass, quad_for, vbo_for, Reduction};
 
 /// Computes `dot(X, Y) = Σ xᵢ·yᵢ` over `n`×`n` encoded matrices on the
@@ -68,6 +69,7 @@ impl DotProduct {
     ) -> Result<Self, GpgpuError> {
         check_size(gl, n, x.len(), "vector X")?;
         check_size(gl, n, y.len(), "vector Y")?;
+        check_reduction(cfg, n)?;
         let enc = cfg.encoding;
         let src = hadamard_kernel(enc, &Range::unit());
         let opt = if cfg.mad_fusion {

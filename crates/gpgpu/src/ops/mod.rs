@@ -40,6 +40,10 @@ use crate::error::GpgpuError;
 
 /// Estimated CPU throughput of the float↔byte conversions (encode/decode),
 /// charged as application CPU time against the frame that uploads the data.
+///
+/// The 500 MiB/s models the simulated board's CPU, not the host that runs the
+/// simulator: how fast the host codec ([`crate::Encoding::encode`]) runs
+/// never changes simulated time.
 const CONVERT_BANDWIDTH_BYTES_PER_SEC: f64 = 500.0 * 1024.0 * 1024.0;
 
 /// Simulated CPU time to convert `bytes` of encoded data.

@@ -16,6 +16,24 @@ use crate::error::GpgpuError;
 use crate::kernels::reduce4_kernel;
 use crate::ops::{apply_setup, check_size, convert_cost, end_pass, quad_for, vbo_for};
 
+/// Checks the reduction tree's preconditions: `n` is a power of two ≥ 2
+/// and the configuration renders to textures. Builders call it before any
+/// encode, CPU charge, texture or upload, so a rejected build leaves the
+/// context's simulated timeline untouched.
+pub(crate) fn check_reduction(cfg: &OptConfig, n: u32) -> Result<(), GpgpuError> {
+    if n < 2 || !n.is_power_of_two() {
+        return Err(GpgpuError::Config(format!(
+            "reduction size {n} must be a power of two >= 2"
+        )));
+    }
+    if cfg.target == RenderStrategy::Framebuffer {
+        return Err(GpgpuError::Config(
+            "reduction requires texture rendering: each level has its own size".to_owned(),
+        ));
+    }
+    Ok(())
+}
+
 /// Sums all elements of an `n`×`n` matrix on the GPU in `log2(n)` passes.
 ///
 /// Values must lie in `[0, 1)`; the accumulated range grows 4× per level
@@ -62,16 +80,11 @@ impl Reduction {
     /// [`GpgpuError::Gl`] otherwise.
     pub fn new(gl: &mut Gl, cfg: &OptConfig, n: u32, data: &[f32]) -> Result<Self, GpgpuError> {
         check_size(gl, n, data.len(), "reduction input")?;
+        check_reduction(cfg, n)?;
         let enc = cfg.encoding;
         let encoded = enc.encode(data, &Range::unit());
         gl.add_cpu_work(convert_cost(encoded.len() as u64));
         let input = gl.create_texture();
-        // Validate n before allocating with it.
-        if n < 2 || !n.is_power_of_two() {
-            return Err(GpgpuError::Config(format!(
-                "reduction size {n} must be a power of two >= 2"
-            )));
-        }
         gl.tex_image_2d(input, n, n, enc.texture_format(), Some(&encoded))?;
         Reduction::with_input_texture(gl, cfg, n, input)
     }
@@ -90,16 +103,7 @@ impl Reduction {
         n: u32,
         input: TextureId,
     ) -> Result<Self, GpgpuError> {
-        if n < 2 || !n.is_power_of_two() {
-            return Err(GpgpuError::Config(format!(
-                "reduction size {n} must be a power of two >= 2"
-            )));
-        }
-        if cfg.target == RenderStrategy::Framebuffer {
-            return Err(GpgpuError::Config(
-                "reduction requires texture rendering: each level has its own size".to_owned(),
-            ));
-        }
+        check_reduction(cfg, n)?;
         let enc = cfg.encoding;
         let src = reduce4_kernel(enc);
         let opt = if cfg.mad_fusion {

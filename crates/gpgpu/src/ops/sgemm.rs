@@ -127,7 +127,10 @@ impl Sgemm {
         gl.tex_image_2d(tex_a, n, n, enc.texture_format(), Some(&encoded_a))?;
         gl.tex_image_2d(tex_b, n, n, enc.texture_format(), Some(&encoded_b))?;
 
-        let zero_seed = enc.encode(&vec![range_out.lo; (n as usize) * (n as usize)], &range_out);
+        // Every texel of the seed is the same: encode one, repeat it n² times.
+        let zero_seed = enc
+            .encode(&[range_out.lo], &range_out)
+            .repeat((n as usize) * (n as usize));
         let chain = OutputChain::new(gl, n, enc.texture_format());
 
         let vbo = vbo_for(gl, cfg, 3)?;

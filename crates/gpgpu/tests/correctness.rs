@@ -343,6 +343,39 @@ fn reduction_rejects_bad_configurations() {
     assert!(matches!(err, GpgpuError::Config(_)));
 }
 
+/// A rejected reduction or dot product must not bill the context: after
+/// each rejection, the next valid reduction reports the same simulated
+/// time as it does on a fresh context.
+#[test]
+fn rejected_reductions_do_not_bill_the_context() {
+    use mgpu_gpgpu::{DotProduct, Reduction};
+    let cfg = OptConfig::baseline().without_swap();
+    let framebuffer = cfg.with_framebuffer_rendering();
+    let valid_total = |gl: &mut Gl| {
+        let mut reduce = Reduction::new(gl, &cfg, 4, &[0.5; 16]).unwrap();
+        reduce.run(gl).unwrap();
+        gl.report().total_time
+    };
+    let fresh = valid_total(&mut Gl::new(Platform::videocore_iv(), 4, 4));
+
+    let odd = vec![0.5f32; 1000 * 1000];
+    let pow2 = vec![0.5f32; 512 * 512];
+    for (what, n, data, cfg) in [
+        ("size 1000", 1000, &odd, cfg),
+        ("framebuffer rendering", 512, &pow2, framebuffer),
+    ] {
+        let mut gl = Gl::new(Platform::videocore_iv(), 4, 4);
+        let err = Reduction::new(&mut gl, &cfg, n, data).unwrap_err();
+        assert!(matches!(err, GpgpuError::Config(_)), "reduction, {what}");
+        assert_eq!(valid_total(&mut gl), fresh, "reduction, {what}");
+
+        let mut gl = Gl::new(Platform::videocore_iv(), 4, 4);
+        let err = DotProduct::new(&mut gl, &cfg, n, data, data).unwrap_err();
+        assert!(matches!(err, GpgpuError::Config(_)), "dot product, {what}");
+        assert_eq!(valid_total(&mut gl), fresh, "dot product, {what}");
+    }
+}
+
 #[test]
 fn dot_product_matches_cpu_inner_product() {
     use mgpu_gpgpu::DotProduct;
