@@ -12,7 +12,8 @@ use mgpu_tbdr::{EnergyModel, Platform};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1024u32;
     let iters = 50usize;
-    let (a, b) = paper_matrices(n);
+    let inputs = paper_matrices(n);
+    let (a, b) = &*inputs;
 
     println!("Energy per {iters} sum kernels ({n}x{n}), by configuration\n");
     for platform in Platform::paper_pair() {

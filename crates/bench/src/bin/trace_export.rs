@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::create_dir_all(out_dir)?;
 
     let n = 256u32;
-    let (a, b) = paper_matrices(n);
+    let inputs = paper_matrices(n);
+    let (a, b) = &*inputs;
     for platform in Platform::paper_pair() {
         for target in [RenderStrategy::Texture, RenderStrategy::Framebuffer] {
             let mut gl = Gl::new(platform.clone(), n, n);

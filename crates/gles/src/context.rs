@@ -18,8 +18,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use mgpu_shader::cost::KernelCost;
 use mgpu_shader::ir::Shader;
-use mgpu_shader::{cost, CompileOptions, Limits, OptOptions, Sampler, UniformValues};
+use mgpu_shader::{CompileOptions, Limits, OptOptions, Sampler, UniformValues};
 use mgpu_tbdr::{
     AllocKind, CopyOut, FragmentProfile, FragmentWork, FrameTiming, FrameWork, PipelineSim,
     Platform, RenderTarget, ResourceId, SimReport, SimTime, SkipWork, SyncOp, TileRect, Upload,
@@ -113,6 +114,9 @@ struct Program {
     /// Shared with the shader memo and draw plans; a relink creates a
     /// whole new `Program`, never mutates this.
     shader: Arc<Shader>,
+    /// The static cost profile of `shader`, shared with the shader memo:
+    /// every draw prices its fragments from it.
+    cost: Arc<KernelCost>,
     /// The shader memo's id for `shader`, part of every plan cache key:
     /// programs linked from one source under one set of options share it.
     shader_id: u64,
@@ -389,6 +393,9 @@ pub struct Gl {
 
     surface_width: u32,
     surface_height: u32,
+    /// The window surfaces' RGBA8 pixels. Each stays empty until its first
+    /// functional use (see [`Gl::surface_mut`]), so a timing-only context
+    /// never allocates them.
     surfaces: Vec<Vec<u8>>,
     back_surface: u32,
 
@@ -468,9 +475,7 @@ impl Gl {
     pub fn try_new(platform: Platform, width: u32, height: u32) -> Result<Self, GlError> {
         let exec = ExecConfig::try_from_env()?;
         let env_faults = crate::exec::env_fault_plan()?;
-        let surfaces = (0..platform.framebuffer_surfaces.max(1))
-            .map(|_| vec![0u8; width as usize * height as usize * 4])
-            .collect();
+        let surfaces = vec![Vec::new(); platform.framebuffer_surfaces.max(1) as usize];
         let swap_interval = platform.default_swap_interval;
         Ok(Gl {
             sim: PipelineSim::new(platform.clone()),
@@ -520,6 +525,12 @@ impl Gl {
     /// Enables or disables functional pixel execution. With it off, only
     /// the timing model runs — how the benchmark harness simulates the
     /// paper's 10 000-iteration protocol at full 1024×1024 size cheaply.
+    ///
+    /// A timing-only context keeps only lengths: uploads are priced by
+    /// their byte counts and their texels dropped unread, and operators
+    /// built on it upload placeholders instead of encoded data. Switch
+    /// before building operators; an operator built timing-only refuses
+    /// to run once the context is functional.
     pub fn set_functional(&mut self, functional: bool) {
         self.functional = functional;
     }
@@ -588,6 +599,13 @@ impl Gl {
         self.functional
     }
 
+    /// The window surface's `(width, height)`: the render-target size of
+    /// every draw while no framebuffer object is bound.
+    #[must_use]
+    pub fn surface_size(&self) -> (u32, u32) {
+        (self.surface_width, self.surface_height)
+    }
+
     /// Enables or disables the per-context draw-plan cache (draw setup —
     /// uniform specialisation, interpolation hoisting, engine state — is
     /// then redone every draw). Disabling drops every cached plan. Only
@@ -650,8 +668,9 @@ impl Gl {
     /// `eglCreateContext` + `eglMakeCurrent` after `EGL_CONTEXT_LOST`.
     ///
     /// Every GL object (textures, buffers, FBOs, programs) is gone and
-    /// must be recreated by the application; the window surface is
-    /// re-cleared and the swap interval reset to the platform default.
+    /// must be recreated by the application; the window surfaces are
+    /// dropped (they read as zeros again when next used) and the swap
+    /// interval reset to the platform default.
     /// The simulated timeline, the fault injector (trail and operation
     /// counters), the frame recorder and the compiled-shader memo carry
     /// over, and the recreation's CPU cost is charged to the next
@@ -667,7 +686,7 @@ impl Gl {
         self.current_program = None;
         self.swap_interval = self.platform.default_swap_interval;
         for s in &mut self.surfaces {
-            s.iter_mut().for_each(|b| *b = 0);
+            *s = Vec::new();
         }
         self.back_surface = 0;
         self.pending = None;
@@ -705,6 +724,22 @@ impl Gl {
         } else {
             Ok(())
         }
+    }
+
+    /// Bytes of one RGBA8 window surface.
+    fn surface_len(&self) -> usize {
+        self.surface_width as usize * self.surface_height as usize * 4
+    }
+
+    /// Window surface `s`, zero-filled on its first functional use (clear,
+    /// rasterisation, copy-out, read-back or an injected corruption).
+    fn surface_mut(&mut self, s: u32) -> &mut Vec<u8> {
+        let len = self.surface_len();
+        let surface = &mut self.surfaces[s as usize];
+        if surface.is_empty() {
+            surface.resize(len, 0);
+        }
+        surface
     }
 
     /// Counts one upload attempt and fails it with
@@ -1088,13 +1123,14 @@ impl Gl {
         // Looked up only after the fault hook above, so an injected
         // compile failure fires on the same call whether or not the memo
         // already holds this source.
-        let (shader, shader_id) = self.shader_memo.compile(fragment_source, &options)?;
+        let compiled = self.shader_memo.compile(fragment_source, &options)?;
         let h = self.handle();
         self.programs.insert(
             h,
             Program {
-                shader,
-                shader_id,
+                shader: compiled.shader,
+                cost: compiled.cost,
+                shader_id: compiled.id,
                 uniforms: UniformValues::new(),
                 unit_bindings: HashMap::new(),
             },
@@ -1227,7 +1263,7 @@ impl Gl {
             let px = quantize_rgba8(rgba);
             match key {
                 TargetKey::Surface(s) => {
-                    for chunk in self.surfaces[s as usize].chunks_exact_mut(4) {
+                    for chunk in self.surface_mut(s).chunks_exact_mut(4) {
                         chunk.copy_from_slice(&px);
                     }
                 }
@@ -1348,7 +1384,7 @@ impl Gl {
 
         // Build the fragment cost profile from the kernel and the formats
         // of the textures it actually samples.
-        let kernel_cost = cost::analyze(&program.shader);
+        let kernel_cost = &program.cost;
         let mut profile = FragmentProfile {
             alu_cycles: kernel_cost.alu_cycles,
             output_bytes: target_format.bytes_per_texel() as f64,
@@ -1471,9 +1507,11 @@ impl Gl {
 
         // Fault injection: flip seeded bits in the freshly written target —
         // a model of transient memory corruption. Functional contents only;
-        // the timing model is unaffected.
+        // the timing model is unaffected. A surface is sized from its
+        // dimensions, allocated or not, so timing-only contexts draw the
+        // same corruption as functional ones.
         let target_len = match target_key {
-            TargetKey::Surface(s) => self.surfaces[s as usize].len(),
+            TargetKey::Surface(_) => self.surface_len(),
             TargetKey::Storage(_) => self
                 .attachment_texture()
                 .and_then(|tex| self.textures.get(&tex.0))
@@ -1489,7 +1527,7 @@ impl Gl {
                     inj.record(FaultKind::Corruption, FaultSite::Draw, draw_idx);
                 }
                 let data: &mut [u8] = match target_key {
-                    TargetKey::Surface(s) => &mut self.surfaces[s as usize],
+                    TargetKey::Surface(s) => self.surface_mut(s),
                     TargetKey::Storage(_) => match self
                         .attachment_texture()
                         .and_then(|tex| self.textures.get_mut(&tex.0))
@@ -1590,6 +1628,10 @@ impl Gl {
         y0: u32,
         y1: u32,
     ) -> Result<SkipWork, GlError> {
+        // A surface target is shaded in place: allocate it first.
+        if let TargetKey::Surface(s) = target_key {
+            self.surface_mut(s);
+        }
         let program = self
             .programs
             .get(&prog_id.0)
@@ -1650,10 +1692,7 @@ impl Gl {
         let mut streaming_only = false;
         let mut whole_crcs: Vec<u64> = Vec::new();
         if skip_on {
-            streaming_only = !cost::analyze(&program.shader)
-                .fetches
-                .iter()
-                .any(|f| f.dependent);
+            streaming_only = !program.cost.fetches.iter().any(|f| f.dependent);
             for tex in &sampler_texs {
                 let t = self.textures.get_mut(&tex.0).ok_or_else(|| {
                     GlError::Internal(format!("{tex} vanished during rasterisation"))
@@ -2007,7 +2046,7 @@ impl Gl {
         // Functional copy of pixels.
         let src_pixels: Option<Vec<u8>> = if self.functional {
             Some(match target_key {
-                TargetKey::Surface(s) => self.surfaces[s as usize].clone(),
+                TargetKey::Surface(s) => self.surface_mut(s).clone(),
                 TargetKey::Storage(_) => {
                     let tex = attachment(self)?;
                     self.textures[&tex.0].data.clone()
@@ -2195,7 +2234,7 @@ impl Gl {
         let (target_key, ..) = self.current_target()?;
         self.finish();
         Ok(match target_key {
-            TargetKey::Surface(s) => self.surfaces[s as usize].clone(),
+            TargetKey::Surface(s) => self.surface_mut(s).clone(),
             TargetKey::Storage(_) => {
                 let tex = self.attachment_texture().ok_or_else(|| {
                     GlError::Internal("storage target lost its attachment".to_owned())
@@ -2261,5 +2300,36 @@ impl Gl {
     #[must_use]
     pub fn elapsed(&self) -> SimTime {
         self.sim.total_time()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A timing-only context clears, draws, copies out and swaps without
+    /// ever allocating a window surface; the first read-back does.
+    #[test]
+    fn timing_only_runs_leave_surfaces_unallocated() {
+        let mut gl = Gl::new(Platform::videocore_iv(), 64, 64);
+        gl.set_functional(false);
+        let prog = gl
+            .create_program("void main() { gl_FragColor = vec4(0.5); }")
+            .unwrap();
+        gl.use_program(Some(prog)).unwrap();
+        let dst = gl.create_texture();
+        for _ in 0..4 {
+            gl.clear([0.0; 4]).unwrap();
+            gl.draw_quad(&DrawQuad::fullscreen()).unwrap();
+            gl.copy_tex_image_2d(dst, TextureFormat::Rgba8).unwrap();
+            gl.swap_buffers().unwrap();
+        }
+        gl.read_texture(dst).unwrap();
+        assert!(gl.surfaces.iter().all(Vec::is_empty));
+
+        assert_eq!(gl.read_pixels().unwrap().len(), 64 * 64 * 4);
+        assert_eq!(gl.surfaces[gl.back_surface as usize].len(), 64 * 64 * 4);
+        gl.recreate();
+        assert!(gl.surfaces.iter().all(Vec::is_empty));
     }
 }

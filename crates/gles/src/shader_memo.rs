@@ -8,7 +8,9 @@
 //! platform's limits). It plays the part of a GLES implementation's
 //! program-binary cache, so context loss does not clear it.
 //!
-//! Every entry also carries a **shader id**, the name the draw-plan cache
+//! Every entry also carries the shader's static cost profile
+//! ([`cost::analyze`]), which every draw of the shader prices its
+//! fragments from, and a **shader id**, the name the draw-plan cache
 //! keys plans by (see [`crate::plan_cache`]). Ids come from a counter that
 //! never rewinds, so an id names one compilation for the context's whole
 //! life: a source evicted here and linked again compiles under a fresh id,
@@ -17,6 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mgpu_shader::cost::{self, KernelCost};
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{compile_with, CompileError, CompileOptions};
 
@@ -27,42 +30,55 @@ pub(crate) const SHADER_MEMO_CAP: usize = 64;
 /// What determines a compilation.
 type MemoKey = (String, CompileOptions);
 
-/// A bounded FIFO map from `(source, options)` to a compiled shader and
-/// its shader id.
+/// One memoised compilation.
+#[derive(Debug, Clone)]
+pub(crate) struct Compiled {
+    pub(crate) shader: Arc<Shader>,
+    /// [`cost::analyze`] of `shader`, computed once per compilation.
+    pub(crate) cost: Arc<KernelCost>,
+    pub(crate) id: u64,
+}
+
+/// A bounded FIFO map from `(source, options)` to a compiled shader, its
+/// cost profile and its shader id.
 #[derive(Debug, Default)]
 pub(crate) struct ShaderMemo {
-    shaders: HashMap<MemoKey, (Arc<Shader>, u64)>,
+    shaders: HashMap<MemoKey, Compiled>,
     /// The id the next compilation gets. Ids rise with insertion, so the
     /// entry with the smallest id is the oldest.
     next_id: u64,
 }
 
 impl ShaderMemo {
-    /// The shader compiled from `source` under `options`, and its id;
-    /// compiles on a miss. A failed compilation is returned, not stored.
+    /// The compilation of `source` under `options`; compiles on a miss. A
+    /// failed compilation is returned, not stored.
     pub(crate) fn compile(
         &mut self,
         source: &str,
         options: &CompileOptions,
-    ) -> Result<(Arc<Shader>, u64), CompileError> {
+    ) -> Result<Compiled, CompileError> {
         let key = (source.to_owned(), *options);
-        if let Some((shader, id)) = self.shaders.get(&key) {
-            return Ok((Arc::clone(shader), *id));
+        if let Some(compiled) = self.shaders.get(&key) {
+            return Ok(compiled.clone());
         }
-        let shader = Arc::new(compile_with(source, options)?);
-        let id = self.next_id;
+        let shader = compile_with(source, options)?;
+        let compiled = Compiled {
+            cost: Arc::new(cost::analyze(&shader)),
+            shader: Arc::new(shader),
+            id: self.next_id,
+        };
         self.next_id += 1;
-        self.shaders.insert(key, (Arc::clone(&shader), id));
+        self.shaders.insert(key, compiled.clone());
         if self.shaders.len() > SHADER_MEMO_CAP {
             let oldest = self
                 .shaders
                 .iter()
-                .min_by_key(|(_, (_, id))| *id)
+                .min_by_key(|(_, compiled)| compiled.id)
                 .map(|(key, _)| key.clone());
             if let Some(oldest) = oldest {
                 self.shaders.remove(&oldest);
             }
         }
-        Ok((shader, id))
+        Ok(compiled)
     }
 }

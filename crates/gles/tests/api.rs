@@ -1,7 +1,7 @@
 //! Behavioural tests of the GL state machine: GLES error semantics,
 //! functional rendering, and the timing side effects of each API choice.
 
-use mgpu_gles::{BufferUsage, DrawQuad, Gl, GlError, TextureFormat, VertexSource};
+use mgpu_gles::{BufferUsage, DrawQuad, FaultPlan, Gl, GlError, TextureFormat, VertexSource};
 use mgpu_tbdr::{Platform, SimTime, SyncOp};
 
 fn gl(width: u32, height: u32) -> Gl {
@@ -17,6 +17,10 @@ const COPY_PROG: &str = "
 const COORD_PROG: &str = "
     varying vec2 v_coord;
     void main() { gl_FragColor = vec4(v_coord, 0.0, 1.0); }
+";
+
+const ZERO_PROG: &str = "
+    void main() { gl_FragColor = vec4(0.0); }
 ";
 
 #[test]
@@ -431,4 +435,80 @@ fn empty_sync_op_variants_cover_gl_finish_and_flush() {
     assert_eq!(gl.report().frames.len(), 1);
     assert_eq!(gl.report().frames[0].label, "sync-only");
     let _ = SyncOp::Finish; // silence unused-import style drift
+}
+
+#[test]
+fn a_fresh_surface_reads_as_zeros() {
+    let mut gl = gl(8, 4);
+    assert_eq!(gl.surface_size(), (8, 4));
+    assert_eq!(gl.read_pixels().unwrap(), vec![0u8; 8 * 4 * 4]);
+}
+
+#[test]
+fn recreate_zeroes_a_drawn_surface() {
+    let mut gl = gl(8, 8);
+    let prog = gl.create_program(COORD_PROG).unwrap();
+    gl.use_program(Some(prog)).unwrap();
+    gl.clear([1.0; 4]).unwrap();
+    gl.draw_quad(&DrawQuad::fullscreen()).unwrap();
+    assert!(gl.read_pixels().unwrap().iter().any(|&b| b != 0));
+    gl.recreate();
+    assert_eq!(gl.read_pixels().unwrap(), vec![0u8; 8 * 8 * 4]);
+}
+
+/// Corruption of a window-surface target is drawn from the surface's
+/// dimensions, whether or not the surface has been allocated: a
+/// timing-only context records the same fault trail as a functional one,
+/// and reads back the same flipped bytes it always has (both pinned).
+#[test]
+fn surface_corruption_is_the_same_without_functional_execution() {
+    let run = |functional: bool| {
+        let mut gl = gl(16, 16);
+        gl.set_functional(functional);
+        gl.install_faults(FaultPlan::parse("seed=11,corrupt@1,corrupt@4,p_corrupt=0.3").unwrap());
+        let prog = gl.create_program(ZERO_PROG).unwrap();
+        gl.use_program(Some(prog)).unwrap();
+        for _ in 0..8 {
+            gl.draw_quad(&DrawQuad::fullscreen()).unwrap();
+        }
+        let trail: Vec<String> = gl.fault_trail().iter().map(ToString::to_string).collect();
+        (trail, gl.read_pixels().unwrap())
+    };
+    let (trail, pixels) = run(false);
+    assert_eq!(
+        trail,
+        [
+            "corruption@draw#1",
+            "corruption@draw#4",
+            "corruption@draw#6"
+        ]
+    );
+    assert_eq!(run(true).0, trail);
+    // Nothing shades a timing-only surface, so all three draws' flips
+    // accumulate on zeros.
+    let flipped: Vec<(usize, u8)> = pixels
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, b)| b != 0)
+        .collect();
+    assert_eq!(
+        flipped,
+        [
+            (45, 2),
+            (95, 32),
+            (138, 4),
+            (205, 8),
+            (215, 64),
+            (336, 32),
+            (435, 4),
+            (560, 4),
+            (676, 64),
+            (694, 128),
+            (744, 4),
+            (827, 2),
+            (1004, 128),
+            (1015, 8)
+        ]
+    );
 }

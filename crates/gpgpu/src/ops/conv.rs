@@ -6,7 +6,7 @@ use mgpu_gles::{Gl, ProgramId, TextureFormat, TextureId};
 use crate::config::OptConfig;
 use crate::error::GpgpuError;
 use crate::kernels::conv3x3_kernel;
-use crate::ops::{apply_setup, quad_for, vbo_for, OutputChain};
+use crate::ops::{apply_setup, check_target, quad_for, vbo_for, OutputChain};
 
 /// Applies a 3×3 convolution kernel to an RGBA8 image on the GPU.
 ///
@@ -47,9 +47,10 @@ impl Convolution3x3 {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] when `image` is not `width*height*4` bytes or
-    /// the image is not square (the output chain uses square targets);
-    /// [`GpgpuError::Gl`] otherwise.
+    /// [`GpgpuError::Config`] when `image` is not `width*height*4` bytes,
+    /// the image is not square (the output chain uses square targets) or,
+    /// under framebuffer rendering, the window surface is not the image's
+    /// size; [`GpgpuError::Gl`] otherwise.
     pub fn new(
         gl: &mut Gl,
         cfg: &OptConfig,
@@ -69,6 +70,7 @@ impl Convolution3x3 {
                 "convolution targets must currently be square".to_owned(),
             ));
         }
+        check_target(gl, cfg, width)?;
         let src = conv3x3_kernel(weights, 1.0 / width as f32, 1.0 / height as f32);
         let prog = gl.create_program(&src)?;
         gl.set_sampler(prog, "u_img", 0)?;
@@ -93,8 +95,10 @@ impl Convolution3x3 {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn apply(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         gl.bind_texture(0, Some(self.tex_src))?;
         gl.use_program(Some(self.prog))?;
         self.step_count += 1;
@@ -109,8 +113,10 @@ impl Convolution3x3 {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn apply_iterated(&mut self, gl: &mut Gl, iterations: usize) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         for i in 0..iterations {
             let src = if i == 0 {
                 self.tex_src
@@ -132,8 +138,9 @@ impl Convolution3x3 {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
-        Ok(self.chain.read_latest(gl)?)
+        self.chain.read_latest(gl)
     }
 }

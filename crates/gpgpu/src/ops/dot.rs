@@ -14,7 +14,9 @@ use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::hadamard_kernel;
 use crate::ops::reduce::check_reduction;
-use crate::ops::{apply_setup, check_size, convert_cost, end_pass, quad_for, vbo_for, Reduction};
+use crate::ops::{
+    apply_setup, check_size, convert_cost, encode_input, end_pass, quad_for, vbo_for, Reduction,
+};
 
 /// Computes `dot(X, Y) = Σ xᵢ·yᵢ` over `n`×`n` encoded matrices on the
 /// GPU.
@@ -67,8 +69,8 @@ impl DotProduct {
         x: &[f32],
         y: &[f32],
     ) -> Result<Self, GpgpuError> {
-        check_size(gl, n, x.len(), "vector X")?;
-        check_size(gl, n, y.len(), "vector Y")?;
+        check_size(n, x.len(), "vector X")?;
+        check_size(n, y.len(), "vector Y")?;
         check_reduction(cfg, n)?;
         let enc = cfg.encoding;
         let src = hadamard_kernel(enc, &Range::unit());
@@ -82,8 +84,8 @@ impl DotProduct {
         gl.set_sampler(prog, "u_b", 1)?;
         apply_setup(gl, cfg);
 
-        let ex = enc.encode(x, &Range::unit());
-        let ey = enc.encode(y, &Range::unit());
+        let ex = encode_input(gl, enc, x, &Range::unit());
+        let ey = encode_input(gl, enc, y, &Range::unit());
         gl.add_cpu_work(convert_cost((ex.len() + ey.len()) as u64));
         let tex_x = gl.create_texture();
         let tex_y = gl.create_texture();
@@ -116,12 +118,14 @@ impl DotProduct {
     }
 
     /// Runs the multiply pass and the reduction, returning the inner
-    /// product.
+    /// product (0 on a timing-only context, which keeps no texels).
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// [`GpgpuError::Config`] when the operator was built on a timing-only
+    /// context that is now functional; GL failures otherwise.
     pub fn run(&mut self, gl: &mut Gl) -> Result<f32, GpgpuError> {
+        self.reduction.guard(gl)?;
         self.run_count += 1;
         // Multiply pass into the product texture.
         if !self.cfg.texture_reuse {

@@ -14,7 +14,10 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::jacobi_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_size, check_target, convert_cost, encode_input, quad_for, vbo_for,
+    OutputChain,
+};
 
 /// Solves `∇²u = -f` on an `n`×`n` grid with zero-flux boundaries by
 /// weighted-Jacobi iteration.
@@ -91,8 +94,9 @@ impl JacobiBuilder {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] on size mismatches or ω outside `[0, 1]`;
-    /// [`GpgpuError::Gl`] otherwise.
+    /// [`GpgpuError::Config`] on size mismatches (including a window
+    /// surface that is not `n`×`n` under framebuffer rendering) or ω
+    /// outside `[0, 1]`; [`GpgpuError::Gl`] otherwise.
     pub fn build(
         self,
         gl: &mut Gl,
@@ -100,8 +104,9 @@ impl JacobiBuilder {
         u0: &[f32],
         f: &[f32],
     ) -> Result<JacobiSolver, GpgpuError> {
-        check_size(gl, self.n, u0.len(), "initial guess u0")?;
-        check_size(gl, self.n, f.len(), "source term f")?;
+        check_target(gl, cfg, self.n)?;
+        check_size(self.n, u0.len(), "initial guess u0")?;
+        check_size(self.n, f.len(), "source term f")?;
         if !(0.0..=1.0).contains(&self.omega) {
             return Err(GpgpuError::Config(format!(
                 "relaxation weight {} must lie in [0, 1]",
@@ -121,8 +126,8 @@ impl JacobiBuilder {
         gl.set_uniform_scalar(prog, "u_texel", 1.0 / self.n as f32)?;
         apply_setup(gl, cfg);
 
-        let encoded_u = enc.encode(u0, &self.range_u);
-        let encoded_f = enc.encode(f, &self.range_f);
+        let encoded_u = encode_input(gl, enc, u0, &self.range_u);
+        let encoded_f = encode_input(gl, enc, f, &self.range_f);
         gl.add_cpu_work(convert_cost((encoded_u.len() + encoded_f.len()) as u64));
         let tex_f = gl.create_texture();
         gl.tex_image_2d(
@@ -164,8 +169,10 @@ impl JacobiSolver {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn step(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         gl.bind_texture(0, Some(self.chain.latest()))?;
         gl.bind_texture(1, Some(self.tex_f))?;
         gl.use_program(Some(self.prog))?;
@@ -180,7 +187,8 @@ impl JacobiSolver {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn iterate(&mut self, gl: &mut Gl, iterations: usize) -> Result<(), GpgpuError> {
         for _ in 0..iterations {
             self.step(gl)?;
@@ -192,7 +200,8 @@ impl JacobiSolver {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn solution(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
         let bytes = self.chain.read_latest(gl)?;
         gl.add_cpu_work(convert_cost(bytes.len() as u64));

@@ -13,6 +13,11 @@
 //!   case);
 //! * **invalidation** — `EXT_discard_framebuffer` before each pass unless
 //!   disabled.
+//!
+//! On a timing-only context, which prices uploads by length and drops
+//! their texels unread, operators upload same-length placeholders instead
+//! of encoded data ([`encode_input`]); the chain then refuses to run once
+//! the context turns functional ([`BuildMode::check`]).
 
 mod conv;
 mod dot;
@@ -36,6 +41,7 @@ use mgpu_gles::{DrawQuad, Gl, GlError, TextureFormat, TextureId};
 use mgpu_tbdr::SimTime;
 
 use crate::config::{OptConfig, RenderStrategy, SyncStrategy, VertexStrategy};
+use crate::encoding::{Encoding, Range};
 use crate::error::GpgpuError;
 
 /// Estimated CPU throughput of the float↔byte conversions (encode/decode),
@@ -49,6 +55,54 @@ const CONVERT_BANDWIDTH_BYTES_PER_SEC: f64 = 500.0 * 1024.0 * 1024.0;
 /// Simulated CPU time to convert `bytes` of encoded data.
 pub(crate) fn convert_cost(bytes: u64) -> SimTime {
     SimTime::from_secs_f64(bytes as f64 / CONVERT_BANDWIDTH_BYTES_PER_SEC)
+}
+
+/// Host bytes of one upload of `values`: the codec's output on a functional
+/// context; on a timing-only one, a [`placeholder`] of the same length, so
+/// the codec never runs and every simulated byte count stays the same.
+pub(crate) fn encode_input(gl: &Gl, enc: Encoding, values: &[f32], range: &Range) -> Vec<u8> {
+    if gl.functional() {
+        enc.encode(values, range)
+    } else {
+        placeholder(enc, values.len())
+    }
+}
+
+/// Zero bytes standing in for `values` encoded values on a timing-only
+/// context. [`BuildMode::check`] keeps them off functional contexts.
+pub(crate) fn placeholder(enc: Encoding, values: usize) -> Vec<u8> {
+    vec![0; values * enc.bytes_per_value()]
+}
+
+/// Whether an operator was built on a timing-only context, and so holds
+/// placeholders where its encoded inputs would be.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BuildMode {
+    timing_only: bool,
+}
+
+impl BuildMode {
+    /// The mode of an operator built on `gl` now.
+    pub(crate) fn of(gl: &Gl) -> Self {
+        BuildMode {
+            timing_only: !gl.functional(),
+        }
+    }
+
+    /// Refuses to run a timing-only build on a context that has since
+    /// turned functional. Called before any upload, charge or draw, so the
+    /// placeholders never reach a functional texture and the simulated
+    /// timeline does not move.
+    pub(crate) fn check(self, gl: &Gl) -> Result<(), GpgpuError> {
+        if self.timing_only && gl.functional() {
+            return Err(GpgpuError::Config(
+                "operator was built on a timing-only context and holds placeholders, \
+                 not its inputs: call set_functional(true) before building it"
+                    .to_owned(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Applies the configured swap interval and host-execution threading once
@@ -162,6 +216,8 @@ pub(crate) struct OutputChain {
     size: u32,
     format: TextureFormat,
     allocated: [bool; 2],
+    /// How the owning operator was built; checked by every chain call.
+    mode: BuildMode,
 }
 
 impl OutputChain {
@@ -173,7 +229,15 @@ impl OutputChain {
             size,
             format,
             allocated: [false; 2],
+            mode: BuildMode::of(gl),
         }
+    }
+
+    /// Fails when the owning operator was built timing-only and `gl` is
+    /// now functional (see [`BuildMode::check`]). Operators that upload or
+    /// charge before their first chain call check this first.
+    pub(crate) fn guard(&self, gl: &Gl) -> Result<(), GpgpuError> {
+        self.mode.check(gl)
     }
 
     /// The texture holding the latest result.
@@ -182,7 +246,8 @@ impl OutputChain {
     }
 
     /// Uploads initial contents into the latest-result slot.
-    pub(crate) fn seed(&mut self, gl: &mut Gl, data: &[u8]) -> Result<(), GlError> {
+    pub(crate) fn seed(&mut self, gl: &mut Gl, data: &[u8]) -> Result<(), GpgpuError> {
+        self.guard(gl)?;
         gl.tex_image_2d(
             self.textures[self.idx],
             self.size,
@@ -219,6 +284,7 @@ impl OutputChain {
         copy_out: Option<TextureId>,
         draw: impl FnOnce(&mut Gl) -> Result<(), GlError>,
     ) -> Result<(), GpgpuError> {
+        self.guard(gl)?;
         let next = 1 - self.idx;
         match cfg.target {
             RenderStrategy::Texture => {
@@ -264,19 +330,32 @@ impl OutputChain {
 
     /// Reads back and returns the latest result's bytes (synchronising,
     /// counted as a readback by the fault injector).
-    pub(crate) fn read_latest(&self, gl: &mut Gl) -> Result<Vec<u8>, GlError> {
-        gl.read_texture(self.latest())
+    pub(crate) fn read_latest(&self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
+        self.guard(gl)?;
+        Ok(gl.read_texture(self.latest())?)
     }
 }
 
-/// Validates that an operator's data size matches `n * n` and the window
-/// surface (the framebuffer path renders full-surface).
-pub(crate) fn check_size(gl: &Gl, n: u32, data_len: usize, what: &str) -> Result<(), GpgpuError> {
+/// Validates an operator's render target before anything is encoded,
+/// charged or uploaded: framebuffer rendering draws the whole window
+/// surface, so it must be exactly `n`×`n`. Texture rendering accepts any
+/// surface.
+pub(crate) fn check_target(gl: &Gl, cfg: &OptConfig, n: u32) -> Result<(), GpgpuError> {
+    let (w, h) = gl.surface_size();
+    if cfg.target == RenderStrategy::Framebuffer && (w, h) != (n, n) {
+        return Err(GpgpuError::Config(format!(
+            "framebuffer rendering needs a {n}x{n} window surface, the context's is {w}x{h}"
+        )));
+    }
+    Ok(())
+}
+
+/// Validates that an operator's data size matches `n * n`.
+pub(crate) fn check_size(n: u32, data_len: usize, what: &str) -> Result<(), GpgpuError> {
     if data_len != (n as usize) * (n as usize) {
         return Err(GpgpuError::Config(format!(
             "{what} has {data_len} elements, expected {n}x{n}"
         )));
     }
-    let _ = gl;
     Ok(())
 }

@@ -14,7 +14,9 @@ use crate::config::{OptConfig, RenderStrategy};
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::reduce4_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, end_pass, quad_for, vbo_for};
+use crate::ops::{
+    apply_setup, check_size, convert_cost, encode_input, end_pass, quad_for, vbo_for, BuildMode,
+};
 
 /// Checks the reduction tree's preconditions: `n` is a power of two ≥ 2
 /// and the configuration renders to textures. Builders call it before any
@@ -68,6 +70,7 @@ pub struct Reduction {
     fbo: mgpu_gles::FramebufferId,
     vbo: Option<mgpu_gles::BufferId>,
     run_count: u64,
+    mode: BuildMode,
 }
 
 impl Reduction {
@@ -79,10 +82,10 @@ impl Reduction {
     /// configuration selects framebuffer rendering, or sizes mismatch;
     /// [`GpgpuError::Gl`] otherwise.
     pub fn new(gl: &mut Gl, cfg: &OptConfig, n: u32, data: &[f32]) -> Result<Self, GpgpuError> {
-        check_size(gl, n, data.len(), "reduction input")?;
+        check_size(n, data.len(), "reduction input")?;
         check_reduction(cfg, n)?;
         let enc = cfg.encoding;
-        let encoded = enc.encode(data, &Range::unit());
+        let encoded = encode_input(gl, enc, data, &Range::unit());
         gl.add_cpu_work(convert_cost(encoded.len() as u64));
         let input = gl.create_texture();
         gl.tex_image_2d(input, n, n, enc.texture_format(), Some(&encoded))?;
@@ -135,7 +138,14 @@ impl Reduction {
             fbo,
             vbo,
             run_count: 0,
+            mode: BuildMode::of(gl),
         })
+    }
+
+    /// Fails when the reduction was built on a timing-only context that
+    /// is now functional (see [`BuildMode::check`]).
+    pub(crate) fn guard(&self, gl: &Gl) -> Result<(), GpgpuError> {
+        self.mode.check(gl)
     }
 
     /// Number of kernel invocations one reduction takes (`log2(n)`).
@@ -150,12 +160,15 @@ impl Reduction {
         Range::new(0.0, (self.n as f32) * (self.n as f32))
     }
 
-    /// Runs the full reduction and returns the decoded total.
+    /// Runs the full reduction and returns the decoded total (0 on a
+    /// timing-only context, which keeps no texels to decode).
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// [`GpgpuError::Config`] when the reduction was built on a
+    /// timing-only context that is now functional; GL failures otherwise.
     pub fn run(&mut self, gl: &mut Gl) -> Result<f32, GpgpuError> {
+        self.guard(gl)?;
         self.run_count += 1;
         let enc = self.cfg.encoding;
         let fmt: TextureFormat = enc.texture_format();
@@ -198,9 +211,14 @@ impl Reduction {
             .levels
             .last()
             .ok_or_else(|| GpgpuError::Config("reduction has no levels".to_owned()))?;
+        // One value comes back; its decode is charged in either mode.
         let bytes = gl.texture_data(last)?.to_vec();
-        gl.add_cpu_work(convert_cost(bytes.len() as u64));
+        gl.add_cpu_work(convert_cost(enc.bytes_per_value() as u64));
         let total_range = Range::new(0.0, 4.0f32.powi(self.passes() as i32));
-        Ok(enc.decode(&bytes, &total_range)[0])
+        Ok(enc
+            .decode(&bytes, &total_range)
+            .first()
+            .copied()
+            .unwrap_or(0.0))
     }
 }

@@ -7,7 +7,10 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::saxpy_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_size, check_target, convert_cost, encode_input, quad_for, vbo_for,
+    OutputChain,
+};
 
 /// `Y ← alpha·X + Y` over `n`×`n` encoded matrices. Iterating chains `Y`
 /// through the double-buffered output like the paper's multi-pass scheme.
@@ -49,8 +52,9 @@ impl Saxpy {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] on size mismatch, [`GpgpuError::Gl`]
-    /// otherwise.
+    /// [`GpgpuError::Config`] on size mismatch (including a window surface
+    /// that is not `n`×`n` under framebuffer rendering),
+    /// [`GpgpuError::Gl`] otherwise.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         gl: &mut Gl,
@@ -62,8 +66,9 @@ impl Saxpy {
         range_in: Range,
         range_out: Range,
     ) -> Result<Self, GpgpuError> {
-        check_size(gl, n, x.len(), "vector X")?;
-        check_size(gl, n, y.len(), "vector Y")?;
+        check_target(gl, cfg, n)?;
+        check_size(n, x.len(), "vector X")?;
+        check_size(n, y.len(), "vector Y")?;
         let enc = cfg.encoding;
         // The kernel decodes Y with the output range (it is an accumulator).
         let src = saxpy_kernel(enc, &range_in, &range_out);
@@ -79,8 +84,8 @@ impl Saxpy {
 
         apply_setup(gl, cfg);
 
-        let encoded_x = enc.encode(x, &range_in);
-        let encoded_y = enc.encode(y, &range_out);
+        let encoded_x = encode_input(gl, enc, x, &range_in);
+        let encoded_y = encode_input(gl, enc, y, &range_out);
         gl.add_cpu_work(convert_cost((encoded_x.len() + encoded_y.len()) as u64));
         let tex_x = gl.create_texture();
         gl.tex_image_2d(tex_x, n, n, enc.texture_format(), Some(&encoded_x))?;
@@ -104,8 +109,10 @@ impl Saxpy {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn step(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         gl.bind_texture(0, Some(self.tex_x))?;
         gl.bind_texture(1, Some(self.chain.latest()))?;
         gl.use_program(Some(self.prog))?;
@@ -120,7 +127,8 @@ impl Saxpy {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
         let bytes = self.chain.read_latest(gl)?;
         gl.add_cpu_work(convert_cost(bytes.len() as u64));

@@ -9,7 +9,8 @@ use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::sgemm_kernel;
 use crate::ops::{
-    apply_setup, check_size, convert_cost, draw_banded, quad_for, vbo_for, OutputChain,
+    apply_setup, check_size, check_target, convert_cost, draw_banded, encode_input, placeholder,
+    quad_for, vbo_for, OutputChain,
 };
 
 /// Blocked single-precision matrix multiply `C = A × B` over `n`×`n`
@@ -68,7 +69,8 @@ impl Sgemm {
     /// [`is_shader_limit`](GpgpuError::is_shader_limit) when `block`
     /// exceeds what the platform can compile — on both paper platforms
     /// this happens above block 16, bounding Fig. 4b;
-    /// [`GpgpuError::Config`] on size mismatches.
+    /// [`GpgpuError::Config`] on size mismatches (including a window
+    /// surface that is not `n`×`n` under framebuffer rendering).
     pub fn new(
         gl: &mut Gl,
         cfg: &OptConfig,
@@ -98,8 +100,9 @@ impl Sgemm {
         range_in: Range,
         range_out: Range,
     ) -> Result<Self, GpgpuError> {
-        check_size(gl, n, a.len(), "matrix A")?;
-        check_size(gl, n, b.len(), "matrix B")?;
+        check_target(gl, cfg, n)?;
+        check_size(n, a.len(), "matrix A")?;
+        check_size(n, b.len(), "matrix B")?;
         if block == 0 || !n.is_multiple_of(block) {
             return Err(GpgpuError::Config(format!(
                 "block {block} must divide matrix size {n}"
@@ -119,8 +122,8 @@ impl Sgemm {
 
         apply_setup(gl, cfg);
 
-        let encoded_a = enc.encode(a, &range_in);
-        let encoded_b = enc.encode(b, &range_in);
+        let encoded_a = encode_input(gl, enc, a, &range_in);
+        let encoded_b = encode_input(gl, enc, b, &range_in);
         gl.add_cpu_work(convert_cost((encoded_a.len() + encoded_b.len()) as u64));
         let tex_a = gl.create_texture();
         let tex_b = gl.create_texture();
@@ -128,9 +131,12 @@ impl Sgemm {
         gl.tex_image_2d(tex_b, n, n, enc.texture_format(), Some(&encoded_b))?;
 
         // Every texel of the seed is the same: encode one, repeat it n² times.
-        let zero_seed = enc
-            .encode(&[range_out.lo], &range_out)
-            .repeat((n as usize) * (n as usize));
+        let texels = (n as usize) * (n as usize);
+        let zero_seed = if gl.functional() {
+            enc.encode(&[range_out.lo], &range_out).repeat(texels)
+        } else {
+            placeholder(enc, texels)
+        };
         let chain = OutputChain::new(gl, n, enc.texture_format());
 
         let vbo = vbo_for(gl, cfg, 3)?;
@@ -161,7 +167,8 @@ impl Sgemm {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn multiply(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
         self.begin_multiply(gl)?;
         for pass in 0..self.passes() {
@@ -176,7 +183,8 @@ impl Sgemm {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn begin_multiply(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
         self.chain.seed(gl, &self.zero_seed)?;
         self.multiply_count += 1;
@@ -190,9 +198,10 @@ impl Sgemm {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] for an out-of-range pass; GL failures
-    /// otherwise.
+    /// [`GpgpuError::Config`] for an out-of-range pass or if built on a
+    /// timing-only context that is now functional; GL failures otherwise.
     pub fn run_pass(&mut self, gl: &mut Gl, pass: u32, bands: u32) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         if pass >= self.passes() {
             return Err(GpgpuError::Config(format!(
                 "pass {pass} out of range ({} passes)",
@@ -218,25 +227,28 @@ impl Sgemm {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn snapshot_bytes(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
-        Ok(self.chain.read_latest(gl)?)
+        self.chain.read_latest(gl)
     }
 
     /// Uploads previously snapshotted bytes into the latest-result slot.
     ///
     /// # Errors
     ///
-    /// Propagates GL failures (e.g. a size mismatch).
+    /// Propagates GL failures (e.g. a size mismatch); [`GpgpuError::Config`]
+    /// if built on a timing-only context that is now functional.
     pub fn restore_bytes(&mut self, gl: &mut Gl, bytes: &[u8]) -> Result<(), GpgpuError> {
-        Ok(self.chain.seed(gl, bytes)?)
+        self.chain.seed(gl, bytes)
     }
 
     /// Reads back and decodes the product matrix.
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
         let bytes = self.chain.read_latest(gl)?;
         gl.add_cpu_work(convert_cost(bytes.len() as u64));

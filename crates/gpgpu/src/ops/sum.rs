@@ -8,7 +8,8 @@ use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::sum_kernel_ranges;
 use crate::ops::{
-    apply_setup, check_size, convert_cost, draw_banded, quad_for, vbo_for, OutputChain,
+    apply_setup, check_size, check_target, convert_cost, draw_banded, encode_input, quad_for,
+    vbo_for, OutputChain,
 };
 
 /// Streaming addition `C = A + B` over `n`×`n` encoded matrices — the
@@ -104,8 +105,9 @@ impl SumBuilder {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] on size mismatches, [`GpgpuError::Gl`] on
-    /// compilation or GL failures.
+    /// [`GpgpuError::Config`] on size mismatches (including a window
+    /// surface that is not `n`×`n` under framebuffer rendering),
+    /// [`GpgpuError::Gl`] on compilation or GL failures.
     pub fn build(
         self,
         gl: &mut Gl,
@@ -113,8 +115,9 @@ impl SumBuilder {
         a: &[f32],
         b: &[f32],
     ) -> Result<Sum, GpgpuError> {
-        check_size(gl, self.n, a.len(), "matrix A")?;
-        check_size(gl, self.n, b.len(), "matrix B")?;
+        check_target(gl, cfg, self.n)?;
+        check_size(self.n, a.len(), "matrix A")?;
+        check_size(self.n, b.len(), "matrix B")?;
         let enc = cfg.encoding;
         // In dependent mode A is a previous result, so it is encoded and
         // decoded with the output range.
@@ -135,8 +138,8 @@ impl SumBuilder {
 
         apply_setup(gl, cfg);
 
-        let encoded_a = enc.encode(a, &a_range);
-        let encoded_b = enc.encode(b, &self.range_in);
+        let encoded_a = encode_input(gl, enc, a, &a_range);
+        let encoded_b = encode_input(gl, enc, b, &self.range_in);
 
         let tex_a = gl.create_texture();
         let tex_b = gl.create_texture();
@@ -200,7 +203,8 @@ impl Sum {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn step(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
         self.step_banded(gl, 1)
     }
@@ -211,8 +215,10 @@ impl Sum {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn step_banded(&mut self, gl: &mut Gl, bands: u32) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         if self.reupload {
             gl.add_cpu_work(convert_cost(
                 (self.encoded_a.len() + self.encoded_b.len()) as u64,
@@ -249,8 +255,10 @@ impl Sum {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn reset(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         if self.dependent {
             gl.add_cpu_work(convert_cost(self.encoded_a.len() as u64));
             self.chain.seed(gl, &self.encoded_a)?;
@@ -263,25 +271,28 @@ impl Sum {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn snapshot_bytes(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
-        Ok(self.chain.read_latest(gl)?)
+        self.chain.read_latest(gl)
     }
 
     /// Uploads previously snapshotted bytes into the latest-result slot.
     ///
     /// # Errors
     ///
-    /// Propagates GL failures (e.g. a size mismatch).
+    /// Propagates GL failures (e.g. a size mismatch); [`GpgpuError::Config`]
+    /// if built on a timing-only context that is now functional.
     pub fn restore_bytes(&mut self, gl: &mut Gl, bytes: &[u8]) -> Result<(), GpgpuError> {
-        Ok(self.chain.seed(gl, bytes)?)
+        self.chain.seed(gl, bytes)
     }
 
     /// Runs `iterations` kernel invocations.
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn run(&mut self, gl: &mut Gl, iterations: usize) -> Result<(), GpgpuError> {
         for _ in 0..iterations {
             self.step(gl)?;
@@ -293,7 +304,8 @@ impl Sum {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn result(&mut self, gl: &mut Gl) -> Result<Vec<f32>, GpgpuError> {
         let bytes = self.chain.read_latest(gl)?;
         gl.add_cpu_work(convert_cost(bytes.len() as u64));

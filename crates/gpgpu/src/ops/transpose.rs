@@ -7,7 +7,10 @@ use crate::config::OptConfig;
 use crate::encoding::Range;
 use crate::error::GpgpuError;
 use crate::kernels::transpose_kernel;
-use crate::ops::{apply_setup, check_size, convert_cost, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_size, check_target, convert_cost, encode_input, quad_for, vbo_for,
+    OutputChain,
+};
 
 /// Transposes an `n`×`n` encoded matrix on the GPU in one pass.
 ///
@@ -51,16 +54,18 @@ impl Transpose {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] on size mismatch; [`GpgpuError::Gl`]
-    /// otherwise.
+    /// [`GpgpuError::Config`] on size mismatch (including a window surface
+    /// that is not `n`×`n` under framebuffer rendering);
+    /// [`GpgpuError::Gl`] otherwise.
     pub fn new(gl: &mut Gl, cfg: &OptConfig, n: u32, data: &[f32]) -> Result<Self, GpgpuError> {
-        check_size(gl, n, data.len(), "transpose input")?;
+        check_target(gl, cfg, n)?;
+        check_size(n, data.len(), "transpose input")?;
         let enc = cfg.encoding;
         let prog = gl.create_program(&transpose_kernel())?;
         gl.set_sampler(prog, "u_src", 0)?;
         apply_setup(gl, cfg);
 
-        let encoded = enc.encode(data, &Range::unit());
+        let encoded = encode_input(gl, enc, data, &Range::unit());
         gl.add_cpu_work(convert_cost(encoded.len() as u64));
         let tex_in = gl.create_texture();
         gl.tex_image_2d(tex_in, n, n, enc.texture_format(), Some(&encoded))?;
@@ -81,8 +86,10 @@ impl Transpose {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn apply(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         let src = if self.step_count == 0 {
             self.tex_in
         } else {
@@ -102,7 +109,8 @@ impl Transpose {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn result(&mut self, gl: &mut Gl, range: &Range) -> Result<Vec<f32>, GpgpuError> {
         let bytes = self.chain.read_latest(gl)?;
         gl.add_cpu_work(convert_cost(bytes.len() as u64));

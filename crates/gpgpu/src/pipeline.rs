@@ -20,7 +20,10 @@ use mgpu_shader::OptOptions;
 use crate::config::OptConfig;
 use crate::encoding::{Encoding, Range};
 use crate::error::GpgpuError;
-use crate::ops::{apply_setup, convert_cost, draw_banded, quad_for, vbo_for, OutputChain};
+use crate::ops::{
+    apply_setup, check_target, convert_cost, draw_banded, encode_input, quad_for, vbo_for,
+    OutputChain,
+};
 
 /// What a pass binds to one of its samplers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,14 +136,16 @@ impl PipelineBuilder {
     /// # Errors
     ///
     /// [`GpgpuError::Config`] for unknown input names, samplers without a
-    /// binding, size mismatches, forward or self [`Source::Pass`]
-    /// references, raw-image inputs under a non-RGBA8 encoding, or an
-    /// empty pipeline; [`GpgpuError::Gl`] for compilation failures
-    /// (including shader limits).
+    /// binding, size mismatches (including a window surface that is not
+    /// `n`×`n` under framebuffer rendering), forward or self
+    /// [`Source::Pass`] references, raw-image inputs under a non-RGBA8
+    /// encoding, or an empty pipeline; [`GpgpuError::Gl`] for compilation
+    /// failures (including shader limits).
     pub fn build(self, gl: &mut Gl, cfg: &OptConfig) -> Result<Pipeline, GpgpuError> {
         if self.passes.is_empty() {
             return Err(GpgpuError::Config("pipeline has no passes".to_owned()));
         }
+        check_target(gl, cfg, self.n)?;
         let enc = cfg.encoding;
         if !self.raw_inputs.is_empty() && enc != Encoding::Fp32 {
             return Err(GpgpuError::Config(
@@ -159,7 +164,7 @@ impl PipelineBuilder {
                     n = self.n
                 )));
             }
-            let encoded = enc.encode(data, range);
+            let encoded = encode_input(gl, enc, data, range);
             gl.add_cpu_work(convert_cost(encoded.len() as u64));
             let tex = gl.create_texture();
             gl.tex_image_2d(tex, self.n, self.n, enc.texture_format(), Some(&encoded))?;
@@ -261,7 +266,7 @@ impl PipelineBuilder {
                     n = self.n
                 )));
             }
-            let encoded = enc.encode(data, range);
+            let encoded = encode_input(gl, enc, data, range);
             gl.add_cpu_work(convert_cost(encoded.len() as u64));
             chain.seed(gl, &encoded)?;
             seed_bytes = Some(encoded);
@@ -387,8 +392,10 @@ impl Pipeline {
     /// # Errors
     ///
     /// [`GpgpuError::Config`] if a pass binds [`Source::Previous`] but no
-    /// pass has produced output yet; GL failures otherwise.
+    /// pass has produced output yet, or the pipeline was built on a
+    /// timing-only context that is now functional; GL failures otherwise.
     pub fn run_once(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         self.run_count += 1;
         for i in 0..self.passes.len() * self.repeats {
             self.run_pass(gl, i, 1)?;
@@ -407,8 +414,10 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures from the seed upload.
+    /// [`GpgpuError::Config`] when the pipeline was built on a timing-only
+    /// context that is now functional; GL failures from the seed upload.
     pub fn begin_run(&mut self, gl: &mut Gl) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         self.run_count += 1;
         if let Some(bytes) = &self.seed_bytes {
             gl.add_cpu_work(convert_cost(bytes.len() as u64));
@@ -425,10 +434,11 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Config`] for an out-of-range index, or if the pass
-    /// binds [`Source::Previous`] before any output exists; GL failures
-    /// otherwise.
+    /// [`GpgpuError::Config`] for an out-of-range index, if the pass binds
+    /// [`Source::Previous`] before any output exists, or if built on a
+    /// timing-only context that is now functional; GL failures otherwise.
     pub fn run_pass(&mut self, gl: &mut Gl, i: usize, bands: u32) -> Result<(), GpgpuError> {
+        self.chain.guard(gl)?;
         let total = self.passes.len() * self.repeats;
         if i >= total {
             return Err(GpgpuError::Config(format!(
@@ -474,7 +484,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn snapshot_bytes(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
         let mut bytes = self.chain.read_latest(gl)?;
         for tex in self.retained.iter().flatten() {
@@ -488,9 +499,10 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn output_bytes(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
-        Ok(self.chain.read_latest(gl)?)
+        self.chain.read_latest(gl)
     }
 
     /// Uploads previously snapshotted bytes back into the latest-result
@@ -554,7 +566,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates GL failures.
+    /// Propagates GL failures; [`GpgpuError::Config`] if built on a
+    /// timing-only context that is now functional.
     pub fn output(&mut self, gl: &mut Gl, range: &Range) -> Result<Vec<f32>, GpgpuError> {
         let bytes = self.chain.read_latest(gl)?;
         gl.add_cpu_work(convert_cost(bytes.len() as u64));
