@@ -2,10 +2,10 @@
 //!
 //! One [`ExecPoint`] pins everything about *how* the driver executes a
 //! script that is supposed to be functionally invisible: fragment engine,
-//! bind-time specialisation, dispatcher (serial / scope-spawn / persistent
-//! pool), draw-plan caching and host thread count. [`lattice`] enumerates
-//! the points every case is held against; index 0 is the serial scalar
-//! [`baseline`](ExecPoint::baseline) the others are compared to.
+//! draw-plan caching, tile skipping and host thread count. [`lattice`]
+//! enumerates the points every case is held against; index 0 is the
+//! serial scalar [`baseline`](ExecPoint::baseline) the others are
+//! compared to.
 
 use std::fmt;
 
@@ -16,31 +16,23 @@ use mgpu_gles::{Engine, ExecConfig, Gl};
 pub struct ExecPoint {
     /// Fragment engine tier.
     pub engine: Engine,
-    /// Bind-time uniform specialisation (batched and compiled tiers;
-    /// the scalar tier ignores it).
-    pub spec: bool,
-    /// Persistent-pool dispatcher (`false` = legacy scope-spawn path when
-    /// threaded, plain serial path when `threads == 1`).
-    pub pool: bool,
-    /// Per-context draw-plan cache (only reachable through the pool).
+    /// Per-context draw-plan cache.
     pub plan_cache: bool,
     /// Tile-signature redundancy elimination (`MGPU_TILE_SKIP`). Changes
     /// *simulated time* by design, so the oracle only holds reports equal
     /// within a skip group — transcripts must still match the baseline.
     pub tile_skip: bool,
-    /// Host worker threads.
+    /// Host worker threads (one shades on the calling thread).
     pub threads: usize,
 }
 
 impl ExecPoint {
     /// The reference point every other configuration must match: serial,
-    /// scalar, no pool, no plan cache, no specialisation.
+    /// scalar, no plan cache, no tile skipping.
     #[must_use]
     pub fn baseline() -> ExecPoint {
         ExecPoint {
             engine: Engine::Scalar,
-            spec: false,
-            pool: false,
             plan_cache: false,
             tile_skip: false,
             threads: 1,
@@ -53,8 +45,6 @@ impl ExecPoint {
         let exec = ExecConfig::serial()
             .with_thread_count(self.threads)
             .with_engine(self.engine)
-            .with_pool(self.pool)
-            .with_specialization(self.spec)
             .with_tile_skip(self.tile_skip);
         gl.set_exec_config(exec);
         gl.set_plan_cache_enabled(self.plan_cache);
@@ -75,13 +65,10 @@ impl ExecPoint {
                 "engine" => {
                     point.engine = match value {
                         "scalar" => Engine::Scalar,
-                        "batched" => Engine::Batched,
                         "compiled" => Engine::Compiled,
                         other => return Err(format!("unknown engine `{other}`")),
                     };
                 }
-                "spec" => point.spec = parse_switch(value)?,
-                "pool" => point.pool = parse_switch(value)?,
                 "cache" => point.plan_cache = parse_switch(value)?,
                 "skip" => point.tile_skip = parse_switch(value)?,
                 "threads" => {
@@ -110,14 +97,11 @@ impl fmt::Display for ExecPoint {
         let onoff = |b: bool| if b { "on" } else { "off" };
         write!(
             f,
-            "engine={} spec={} pool={} cache={} skip={} threads={}",
+            "engine={} cache={} skip={} threads={}",
             match self.engine {
                 Engine::Scalar => "scalar",
-                Engine::Batched => "batched",
                 Engine::Compiled => "compiled",
             },
-            onoff(self.spec),
-            onoff(self.pool),
             onoff(self.plan_cache),
             onoff(self.tile_skip),
             self.threads
@@ -125,47 +109,30 @@ impl fmt::Display for ExecPoint {
     }
 }
 
-/// The full lattice: {scalar, batched±spec, compiled±spec} × {serial;
-/// scope-spawn and pool (with the plan cache both on and off) at 2 and 8
-/// threads}, plus per engine tier three tile-skip points (serial, and
-/// pool+cache at 2 and 8 threads). 50 points; index 0 is
-/// [`ExecPoint::baseline`].
+/// The full lattice: {scalar, compiled} × {one thread without the plan
+/// cache; 2 and 8 threads with the plan cache on and off}, plus per
+/// engine tier three tile-skip points (one thread, and 2 and 8 threads
+/// with the plan cache). 16 points; index 0 is [`ExecPoint::baseline`].
 #[must_use]
 pub fn lattice() -> Vec<ExecPoint> {
     let mut points = Vec::new();
-    for &(engine, spec) in &[
-        (Engine::Scalar, false),
-        (Engine::Batched, true),
-        (Engine::Batched, false),
-        (Engine::Compiled, true),
-        (Engine::Compiled, false),
-    ] {
+    for engine in [Engine::Scalar, Engine::Compiled] {
         let base = ExecPoint {
             engine,
-            spec,
-            pool: false,
-            plan_cache: false,
-            tile_skip: false,
-            threads: 1,
+            ..ExecPoint::baseline()
         };
         points.push(base);
         for threads in [2usize, 8] {
-            points.push(ExecPoint { threads, ..base });
-            points.push(ExecPoint {
-                pool: true,
-                plan_cache: true,
-                threads,
-                ..base
-            });
-            points.push(ExecPoint {
-                pool: true,
-                plan_cache: false,
-                threads,
-                ..base
-            });
+            for plan_cache in [true, false] {
+                points.push(ExecPoint {
+                    plan_cache,
+                    threads,
+                    ..base
+                });
+            }
         }
-        // Tile-skip axis: the serial path and both pooled thread counts.
-        // Every skip-on point must replay byte-identical transcripts; the
+        // Tile-skip axis: one thread and both pooled thread counts. Every
+        // skip-on point must replay byte-identical transcripts; the
         // oracle additionally holds their reports equal to each other.
         points.push(ExecPoint {
             tile_skip: true,
@@ -173,7 +140,6 @@ pub fn lattice() -> Vec<ExecPoint> {
         });
         for threads in [2usize, 8] {
             points.push(ExecPoint {
-                pool: true,
                 plan_cache: true,
                 tile_skip: true,
                 threads,
@@ -189,9 +155,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lattice_has_50_points_and_starts_at_baseline() {
+    fn lattice_has_16_points_and_starts_at_baseline() {
         let points = lattice();
-        assert_eq!(points.len(), 50);
+        assert_eq!(points.len(), 16);
         assert_eq!(points[0], ExecPoint::baseline());
         // All distinct.
         for (i, a) in points.iter().enumerate() {
@@ -199,13 +165,12 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        // Three skip-on points per engine tier: serial plus pooled at 2
-        // and 8 threads, all with the plan cache following the pool.
+        // Three skip-on points per engine tier: one thread without the
+        // plan cache, 2 and 8 threads with it.
         let skips: Vec<&ExecPoint> = points.iter().filter(|p| p.tile_skip).collect();
-        assert_eq!(skips.len(), 15);
+        assert_eq!(skips.len(), 6);
         for p in &skips {
-            assert_eq!(p.pool, p.plan_cache);
-            assert!(p.pool || p.threads == 1);
+            assert_eq!(p.plan_cache, p.threads > 1);
         }
     }
 
@@ -220,7 +185,13 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_fields() {
         assert!(ExecPoint::parse("engine=vliw").is_err());
-        assert!(ExecPoint::parse("spec=maybe").is_err());
+        // Points written before the lattice shrank (`engine=batched`,
+        // `spec=`, `pool=`) must fail to parse, not replay a different
+        // point.
+        assert!(ExecPoint::parse("engine=batched").is_err());
+        assert!(ExecPoint::parse("spec=off").is_err());
+        assert!(ExecPoint::parse("pool=on").is_err());
+        assert!(ExecPoint::parse("cache=maybe").is_err());
         assert!(ExecPoint::parse("skip=maybe").is_err());
         assert!(ExecPoint::parse("threads=zero").is_err());
         assert!(ExecPoint::parse("bogus=1").is_err());

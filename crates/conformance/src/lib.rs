@@ -2,9 +2,8 @@
 //!
 //! The stack makes a strong promise: the functional output of a GL script
 //! is a pure function of the script, never of *how* the driver executed
-//! it. Engine tier (scalar vs lane-batched), bind-time specialisation,
-//! dispatcher (serial, scope-spawn, persistent pool), draw-plan caching
-//! and host thread count are all pure wall-clock knobs; simulated timing
+//! it. Engine tier (scalar reference vs compiled), draw-plan caching and
+//! host thread count are all pure wall-clock knobs; simulated timing
 //! is equally invariant, and a fault-injected run that recovers must be
 //! indistinguishable — byte for byte — from a run that never faulted.
 //!

@@ -18,7 +18,6 @@
 //! reproduces. [`ast_nodes`] is the size metric reported for shrunk
 //! kernels.
 
-use mgpu_gles::Engine;
 use mgpu_prop::shadergen::{ConfCase, Step};
 use mgpu_shader::ast::{Expr, Program, Stmt};
 use mgpu_shader::pretty::print_program;
@@ -561,26 +560,6 @@ pub fn shrink_point(point: ExecPoint, mut fails: impl FnMut(&ExecPoint) -> bool)
         let candidates = [
             ExecPoint {
                 engine: baseline.engine,
-                spec: false,
-                ..best
-            },
-            // One engine tier down: a failure that also reproduces on the
-            // batched interpreter should not be blamed on the compiled
-            // tier's closure lowering.
-            ExecPoint {
-                engine: match best.engine {
-                    Engine::Compiled => Engine::Batched,
-                    other => other,
-                },
-                ..best
-            },
-            ExecPoint {
-                spec: false,
-                ..best
-            },
-            ExecPoint {
-                pool: false,
-                plan_cache: false,
                 ..best
             },
             ExecPoint {
@@ -680,8 +659,6 @@ mod tests {
     fn shrink_point_walks_to_the_baseline_when_everything_fails() {
         let worst = ExecPoint {
             engine: Engine::Compiled,
-            spec: true,
-            pool: true,
             plan_cache: true,
             tile_skip: true,
             threads: 8,
@@ -692,18 +669,22 @@ mod tests {
     }
 
     #[test]
-    fn shrink_point_steps_compiled_down_to_batched_when_both_fail() {
+    fn shrink_point_keeps_the_compiled_tier_when_only_it_fails() {
         let worst = ExecPoint {
             engine: Engine::Compiled,
-            spec: false,
-            pool: false,
-            plan_cache: false,
+            plan_cache: true,
             tile_skip: false,
-            threads: 1,
+            threads: 2,
         };
-        // The failure reproduces on the batched interpreter too, but not
-        // on the scalar reference: the shrinker must settle on batched.
-        let shrunk = shrink_point(worst, |p| p.engine != Engine::Scalar);
-        assert_eq!(shrunk.engine, Engine::Batched);
+        // The failure needs the compiled tier but nothing else: the
+        // shrinker drops every other knob and keeps the engine.
+        let shrunk = shrink_point(worst, |p| p.engine == Engine::Compiled);
+        assert_eq!(
+            shrunk,
+            ExecPoint {
+                engine: Engine::Compiled,
+                ..ExecPoint::baseline()
+            }
+        );
     }
 }

@@ -14,8 +14,9 @@ use mgpu_tbdr::Platform;
 #[test]
 fn lattice_agrees_on_generated_cases() {
     // Every generated case must produce identical transcripts and
-    // identical simulated-timing reports at all 35 lattice points on both
-    // paper platforms.
+    // identical simulated-timing reports at all 16 lattice points on both
+    // paper platforms (reports of tile-skip points are held equal within
+    // the skip group).
     run_cases(6, |rng| {
         let case = gen_case(rng);
         if let Some(divergence) = check_case(&case) {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use mgpu_shader::cost::KernelCost;
 use mgpu_shader::ir::Shader;
-use mgpu_shader::{CompileOptions, Limits, OptOptions, Sampler, UniformValues};
+use mgpu_shader::{CompileOptions, ExecError, Limits, OptOptions, Sampler, UniformValues};
 use mgpu_tbdr::{
     AllocKind, CopyOut, FragmentProfile, FragmentWork, FrameTiming, FrameWork, PipelineSim,
     Platform, RenderTarget, ResourceId, SimReport, SimTime, SkipWork, SyncOp, TileRect, Upload,
@@ -33,8 +33,8 @@ use crate::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite};
 use crate::plan_cache::{corners_hash, PlanCache, PlanCacheStats, PlanKey};
 use crate::pool::Executor;
 use crate::raster::{
-    execute_plan, execute_plan_rect, panic_message, quantize_rgba8, rasterize_quad_rows_into,
-    texcoord_corners, DrawPlan, RasterTarget, VaryingCorners,
+    execute_plan, execute_plan_rect, panic_message, quantize_rgba8, texcoord_corners, DrawPlan,
+    RasterTarget, VaryingCorners,
 };
 use crate::shader_memo::ShaderMemo;
 use crate::tile_skip::{
@@ -193,6 +193,18 @@ impl DrawQuad {
     #[must_use]
     pub fn row_band(&self) -> Option<(u32, u32)> {
         self.rows
+    }
+}
+
+/// Runs one step of kernel execution (plan build or shading) with panics
+/// contained, mapping a kernel failure or panic to the draw's typed error.
+fn run_kernel<T>(step: impl FnOnce() -> Result<T, ExecError>) -> Result<T, GlError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+        Ok(r) => r.map_err(|e| GlError::InvalidOperation(format!("kernel execution failed: {e}"))),
+        Err(p) => Err(GlError::InvalidOperation(format!(
+            "kernel execution panicked: {}",
+            panic_message(&*p)
+        ))),
     }
 }
 
@@ -419,7 +431,7 @@ pub struct Gl {
     context_lost: bool,
 
     /// Persistent rasteriser executor, spawned lazily on the first draw
-    /// that dispatches in parallel with the pool enabled — or installed
+    /// that dispatches in parallel — or installed
     /// from outside via [`Gl::install_executor`] to share one set of host
     /// threads across many contexts. Deliberately survives
     /// [`Gl::recreate`]: context loss destroys GPU objects, not host
@@ -439,8 +451,8 @@ pub struct Gl {
     /// here so the next build can recycle its allocations.
     scratch_plan: Option<DrawPlan>,
     /// Per-context tile-signature cache for redundancy elimination
-    /// (`MGPU_TILE_SKIP=on`; flushed on context loss and engine/spec
-    /// reconfiguration).
+    /// (`MGPU_TILE_SKIP=on`; flushed on context loss, an engine switch
+    /// and when skipping turns off).
     tile_cache: TileSigCache,
 }
 
@@ -536,9 +548,10 @@ impl Gl {
     }
 
     /// Sets how the functional fragment engine executes on the host
-    /// (thread count, engine tier, pooled vs scope-spawn dispatch).
-    /// Purely a wall-clock knob: outputs and simulated timing are
-    /// identical for every setting.
+    /// (thread count, engine tier, tile skipping). Thread count and
+    /// engine are purely wall-clock knobs: outputs and simulated timing
+    /// are identical for every setting. Tile skipping keeps outputs
+    /// identical but legitimately changes simulated timing.
     ///
     /// Changing the thread count retires a privately created executor; a
     /// correctly sized one is spawned lazily by the next parallel draw
@@ -551,13 +564,10 @@ impl Gl {
         if exec.threads() != self.exec.threads() && !self.executor_installed {
             self.executor = None;
         }
-        // Cached tile signatures embed the engine/spec identity; an
-        // engine or spec switch can never hit them again, and turning
-        // skipping off must not pin stale tile bytes alive.
-        if exec.engine() != self.exec.engine()
-            || exec.specialization() != self.exec.specialization()
-            || !exec.tile_skip()
-        {
+        // Cached tile signatures embed the engine identity; an engine
+        // switch can never hit them again, and turning skipping off must
+        // not pin stale tile bytes alive.
+        if exec.engine() != self.exec.engine() || !exec.tile_skip() {
             self.tile_cache.flush();
         }
         self.exec = exec;
@@ -607,10 +617,9 @@ impl Gl {
     }
 
     /// Enables or disables the per-context draw-plan cache (draw setup —
-    /// uniform specialisation, interpolation hoisting, engine state — is
-    /// then redone every draw). Disabling drops every cached plan. Only
-    /// consulted on the pooled dispatch path; with the pool off the
-    /// legacy per-draw path never caches. Purely a wall-clock knob.
+    /// program lowering, interpolation hoisting, engine state — is then
+    /// redone every draw, recycling the previous plan's allocations).
+    /// Disabling drops every cached plan. Purely a wall-clock knob.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache.set_enabled(enabled);
         if enabled {
@@ -1716,6 +1725,15 @@ impl Gl {
 
         let ch = target_format.channels();
         let exec = self.exec;
+        let key = PlanKey {
+            shader: program.shader_id,
+            uniform_hash: program.uniforms.stable_hash(),
+            engine: exec.engine(),
+            width,
+            height,
+            channels: ch,
+            corners_hash: corners_hash(&corners),
+        };
         let outcome: Result<SkipWork, GlError> = {
             let textures = &self.textures;
             let surfaces = &mut self.surfaces;
@@ -1755,82 +1773,26 @@ impl Gl {
                     }
                 };
 
-                if !exec.pool_enabled() && !skip_on {
-                    // Legacy dispatch: per-draw `thread::scope` spawning
-                    // with round-robin chunk dealing and no plan caching —
-                    // kept code-path-for-code-path as the pre-pool driver.
-                    // `MGPU_POOL=off` (or `with_pool(false)`) pins it.
-                    let raster = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        rasterize_quad_rows_into(
+                // 1. Plan lookup: the cached plan, or a fresh build that
+                // recycles the parked plan's allocations (populated only
+                // while the cache is disabled, so recycling never
+                // cannibalises a cached plan). Sampler views are always
+                // fresh — texture contents are never part of a plan.
+                let mut plan = match plan_cache.take(&key) {
+                    Some(plan) => plan,
+                    None => run_kernel(|| {
+                        DrawPlan::build(
                             &program.shader,
                             &program.uniforms,
-                            &sampler_refs,
+                            exec.engine(),
                             &corners,
-                            RasterTarget {
-                                width,
-                                height,
-                                channels: ch,
-                                data: out,
-                            },
-                            y0,
-                            y1,
-                            &exec,
+                            width,
+                            scratch_plan.take(),
                         )
-                    }));
-                    return match raster {
-                        Ok(r) => r.map(|()| SkipWork::default()).map_err(|e| {
-                            GlError::InvalidOperation(format!("kernel execution failed: {e}"))
-                        }),
-                        Err(p) => Err(GlError::InvalidOperation(format!(
-                            "kernel execution panicked: {}",
-                            panic_message(&*p)
-                        ))),
-                    };
-                }
-
-                // Plan-based dispatch: pooled draws always take this path;
-                // pool-off draws join it when tile skipping is on, because
-                // signatures need the plan's hoisted column table (the
-                // actual full-band shade below still uses the pre-pool
-                // dispatcher in that case). Sampler views are always
-                // fresh — texture contents are never part of a plan.
-                let key = PlanKey {
-                    shader: program.shader_id,
-                    uniform_hash: program.uniforms.stable_hash(),
-                    engine: exec.engine(),
-                    spec: exec.specialization(),
-                    width,
-                    height,
-                    channels: ch,
-                    corners_hash: corners_hash(&corners),
-                };
-                let build = |recycled: Option<DrawPlan>| {
-                    DrawPlan::build(
-                        &program.shader,
-                        &program.uniforms,
-                        exec.engine(),
-                        exec.specialization(),
-                        &corners,
-                        width,
-                        recycled,
-                    )
-                    .map_err(|e| GlError::InvalidOperation(format!("kernel execution failed: {e}")))
-                };
-                let mut plan = if exec.pool_enabled() {
-                    match plan_cache.take(&key) {
-                        Some(plan) => plan,
-                        // Populated only while the cache is disabled, so
-                        // recycling can never cannibalise a cached plan.
-                        None => build(scratch_plan.take())?,
-                    }
-                } else {
-                    // The plan cache is a pooled-path feature; pool-off
-                    // skipping recycles through the scratch slot only.
-                    build(scratch_plan.take())?
+                    })?,
                 };
 
-                // Tile-redundancy elimination: consult the signature cache
-                // per band-intersecting tile. Hits replay cached bytes
+                // 2. Tile-skip partition: hits replay cached bytes
                 // (byte-identical by construction); misses shade below.
                 let mut skip = SkipWork::default();
                 let mut misses: Vec<(TileRect, (u64, u64))> = Vec::new();
@@ -1859,131 +1821,64 @@ impl Gl {
                             None => misses.push((r, sig)),
                         }
                     }
-                    if misses.is_empty() {
-                        // Every tile replayed: nothing to shade. The plan
-                        // is retained exactly as a shaded draw would.
-                        if exec.pool_enabled() && plan_cache.enabled() {
-                            plan_cache.insert(key, plan);
-                        } else {
-                            *scratch_plan = Some(plan);
-                        }
-                        return Ok(skip);
-                    }
-                    if skip.skipped_tiles > 0 {
-                        // Partial hit: shade only the missing tiles, on
-                        // seat 0 tile by tile. Wall-clock only — rect
-                        // draws are byte-identical to full draws on every
-                        // engine tier.
-                        for (r, sig) in &misses {
-                            let mut bytes = vec![0u8; r.pixels() as usize * ch];
-                            let raster =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    execute_plan_rect(
-                                        &mut plan,
-                                        &sampler_refs,
-                                        height,
-                                        r.x0,
-                                        r.x1,
-                                        r.y0,
-                                        r.y1,
-                                        ch,
-                                        &mut bytes,
-                                    )
-                                }));
-                            match raster {
-                                Ok(Ok(())) => {}
-                                Ok(Err(e)) => {
-                                    return Err(GlError::InvalidOperation(format!(
-                                        "kernel execution failed: {e}"
-                                    )))
-                                }
-                                Err(p) => {
-                                    return Err(GlError::InvalidOperation(format!(
-                                        "kernel execution panicked: {}",
-                                        panic_message(&*p)
-                                    )))
-                                }
-                            }
-                            blit_tile(&bytes, r, width, ch, out);
-                            tile_cache.insert(TileKey::new(prog_id.0, key, r), *sig, bytes);
-                        }
-                        if exec.pool_enabled() && plan_cache.enabled() {
-                            plan_cache.insert(key, plan);
-                        } else {
-                            *scratch_plan = Some(plan);
-                        }
-                        return Ok(skip);
-                    }
-                    // All tiles missed: fall through to the full-band
-                    // shade at full dispatch parallelism, then harvest.
                 }
 
-                let raster = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if exec.pool_enabled() {
-                        execute_plan(
+                // 3. Shade: the full band at full dispatch parallelism
+                // when nothing replayed, otherwise only the missed tiles,
+                // on seat 0 tile by tile. Rect draws are byte-identical to
+                // full draws on every engine tier.
+                run_kernel(|| {
+                    if skip.skipped_tiles == 0 {
+                        let target = RasterTarget {
+                            width,
+                            height,
+                            channels: ch,
+                            data: &mut *out,
+                        };
+                        return execute_plan(
                             &mut plan,
                             &sampler_refs,
-                            RasterTarget {
-                                width,
-                                height,
-                                channels: ch,
-                                data: out,
-                            },
+                            target,
                             y0,
                             y1,
                             exec.threads(),
                             pool,
-                        )
-                    } else {
-                        // Skip-on with the pool off shades exactly as the
-                        // pre-pool dispatcher would.
-                        rasterize_quad_rows_into(
-                            &program.shader,
-                            &program.uniforms,
+                        );
+                    }
+                    for (r, _) in &misses {
+                        let mut bytes = vec![0u8; r.pixels() as usize * ch];
+                        execute_plan_rect(
+                            &mut plan,
                             &sampler_refs,
-                            &corners,
-                            RasterTarget {
-                                width,
-                                height,
-                                channels: ch,
-                                data: out,
-                            },
-                            y0,
-                            y1,
-                            &exec,
-                        )
+                            height,
+                            r.x0,
+                            r.x1,
+                            r.y0,
+                            r.y1,
+                            ch,
+                            &mut bytes,
+                        )?;
+                        blit_tile(&bytes, r, width, ch, out);
                     }
-                }));
-                match raster {
-                    // Plans are retained only after a fully successful
-                    // draw; failed or panicked draws drop theirs.
-                    Ok(Ok(())) => {
-                        if skip_on {
-                            // Harvest every shaded tile's bytes under its
-                            // signature for the next pass.
-                            for (r, sig) in misses {
-                                tile_cache.insert(
-                                    TileKey::new(prog_id.0, key, &r),
-                                    sig,
-                                    extract_tile(out, &r, width, ch),
-                                );
-                            }
-                        }
-                        if exec.pool_enabled() && plan_cache.enabled() {
-                            plan_cache.insert(key, plan);
-                        } else {
-                            *scratch_plan = Some(plan);
-                        }
-                        Ok(skip)
-                    }
-                    Ok(Err(e)) => Err(GlError::InvalidOperation(format!(
-                        "kernel execution failed: {e}"
-                    ))),
-                    Err(p) => Err(GlError::InvalidOperation(format!(
-                        "kernel execution panicked: {}",
-                        panic_message(&*p)
-                    ))),
+                    Ok(())
+                })?;
+
+                // 4. Harvest every shaded tile's bytes under its signature
+                // for the next pass. Plans are retained only after a fully
+                // successful draw; failed or panicked draws drop theirs.
+                for (r, sig) in misses {
+                    tile_cache.insert(
+                        TileKey::new(prog_id.0, key, &r),
+                        sig,
+                        extract_tile(out, &r, width, ch),
+                    );
                 }
+                if plan_cache.enabled() {
+                    plan_cache.insert(key, plan);
+                } else {
+                    *scratch_plan = Some(plan);
+                }
+                Ok(skip)
             })()
         };
 

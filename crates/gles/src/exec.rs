@@ -13,18 +13,19 @@
 //! 2. the `MGPU_THREADS` environment variable (a positive integer),
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! `MGPU_THREADS=1` (or [`ExecConfig::serial`]) selects the original
-//! serial path exactly.
+//! Every draw runs through one dispatcher: a cached or freshly built draw
+//! plan executed over the context's persistent worker pool. One thread
+//! (`MGPU_THREADS=1`, or [`ExecConfig::serial`]) shades on the calling
+//! thread and never spawns a pool.
 //!
-//! **Every** `MGPU_*` knob (`MGPU_ENGINE`, `MGPU_POOL`, `MGPU_PLAN_CACHE`,
-//! `MGPU_SPEC`, `MGPU_TILE_SKIP`, `MGPU_THREADS`, `MGPU_FAULTS`) is
-//! resolved **once per
-//! process** into a single cached snapshot: mutating the environment
-//! mid-run can never flip the engine, pool, plan cache, thread default or
-//! fault plan between draws or desynchronise two configs built at
-//! different times. An explicit builder call ([`ExecConfig::with_engine`],
-//! [`ExecConfig::with_pool`]) is the supported way to change them at run
-//! time.
+//! **Every** `MGPU_*` knob of this crate (`MGPU_ENGINE`,
+//! `MGPU_PLAN_CACHE`, `MGPU_TILE_SKIP`, `MGPU_THREADS`, `MGPU_FAULTS`) is
+//! resolved **once per process** into a single cached snapshot: mutating
+//! the environment mid-run can never flip the engine, plan cache, thread
+//! default or fault plan between draws or desynchronise two configs built
+//! at different times. An explicit builder call
+//! ([`ExecConfig::with_engine`], [`ExecConfig::with_tile_skip`]) is the
+//! supported way to change them at run time.
 //!
 //! Invalid knob values are **errors**, not silent fallbacks: the snapshot
 //! records a typed [`EnvKnobError`] naming the variable, the offending
@@ -39,9 +40,8 @@ use std::sync::OnceLock;
 /// Environment variable overriding the functional thread count.
 pub const THREADS_ENV: &str = "MGPU_THREADS";
 
-/// Environment variable selecting the fragment engine (`scalar`,
-/// `batched` or `compiled`; anything else is an [`EnvKnobError`] at
-/// context creation).
+/// Environment variable selecting the fragment engine (`scalar` or
+/// `compiled`; anything else is an [`EnvKnobError`] at context creation).
 pub const ENGINE_ENV: &str = "MGPU_ENGINE";
 
 /// Environment variable installing a deterministic fault plan on every
@@ -51,16 +51,9 @@ pub const ENGINE_ENV: &str = "MGPU_ENGINE";
 /// an [`EnvKnobError`] at context creation.
 pub const FAULTS_ENV: &str = "MGPU_FAULTS";
 
-/// Environment variable disabling the persistent worker pool
-/// (`off`/`0`/`false`/`no`): the rasteriser then uses the legacy
-/// per-draw `thread::scope` spawn path with round-robin chunk dealing,
-/// and the draw-plan cache is bypassed. The escape hatch for comparing
-/// against (or falling back to) the pre-pool execution path.
-pub const POOL_ENV: &str = "MGPU_POOL";
-
 /// Environment variable disabling the per-context draw-plan cache
-/// (`off`/`0`/`false`/`no`) while keeping the worker pool: every draw
-/// then rebuilds its specialised shader, column table and engine seats.
+/// (`off`/`0`/`false`/`no`): every draw then rebuilds its lowered
+/// program, column table and engine seats.
 pub const PLAN_CACHE_ENV: &str = "MGPU_PLAN_CACHE";
 
 /// Environment variable enabling tile-level redundancy elimination
@@ -73,36 +66,25 @@ pub const PLAN_CACHE_ENV: &str = "MGPU_PLAN_CACHE";
 /// simulated timing legitimately improves.
 pub const TILE_SKIP_ENV: &str = "MGPU_TILE_SKIP";
 
-/// Environment variable disabling bind-time uniform specialisation
-/// (`off`/`0`/`false`/`no`): the batched engine then interprets the
-/// original shader with uniforms resolved at seat bind time, exactly like
-/// the scalar tier. A pure wall-clock knob — the conformance lattice holds
-/// spec-on and spec-off byte-identical — and the isolation lever when a
-/// divergence needs attributing to specialisation vs the batch engine.
-pub const SPEC_ENV: &str = "MGPU_SPEC";
-
 /// Which functional fragment interpreter computes fragment colours.
 ///
-/// All three engines are bit-exact with each other — the scalar engine is
-/// the reference semantics, the batched engine a lane-parallel
-/// reformulation of the same f32 expressions, and the compiled engine a
-/// bind-time lowering of those expressions into fused native closures —
-/// so this knob only changes wall-clock time, never an output byte. The
-/// determinism tests at the workspace root and the conformance lattice
-/// hold the three engines against each other.
+/// Both engines are bit-exact with each other — the scalar engine is the
+/// reference semantics, and the compiled engine a bind-time lowering of
+/// the same f32 expressions into fused native closures — so this knob
+/// only changes wall-clock time, never an output byte. The determinism
+/// tests at the workspace root and the conformance lattice hold the two
+/// engines against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The original per-fragment scalar interpreter, uniforms resolved at
-    /// bind time but no shader specialisation: the reference path.
+    /// bind time: the reference path, and the resilient runner's
+    /// fallback.
     Scalar,
-    /// The lane-batched SoA interpreter with bind-time uniform
-    /// specialisation: the throughput path, and the default.
-    #[default]
-    Batched,
     /// The straight-line IR lowered at bind time into a chain of fused,
-    /// monomorphised native closures (`mgpu_shader::compile`): no
-    /// per-instruction decode or scratch traffic at all — the fastest
-    /// tier on unrolled GPGPU kernels.
+    /// monomorphised native closures over [`LANES`](mgpu_shader::LANES)
+    /// fragments (`mgpu_shader::compile`): no per-instruction decode or
+    /// scratch traffic at all. The throughput path, and the default.
+    #[default]
     Compiled,
 }
 
@@ -145,7 +127,7 @@ impl std::fmt::Display for EnvKnobError {
 impl std::error::Error for EnvKnobError {}
 
 /// Process-wide snapshot of **every** `MGPU_*` environment knob, read and
-/// validated exactly once. Engine/pool/cache/spec selection must stay
+/// validated exactly once. Engine and cache selection must stay
 /// constant across a run for the byte-identity and plan-reuse invariants
 /// to be meaningful; caching the thread default and fault plan alongside
 /// them means two configs (or contexts) built at different times can
@@ -153,9 +135,7 @@ impl std::error::Error for EnvKnobError {}
 #[derive(Debug, Clone)]
 struct EnvKnobs {
     engine: Engine,
-    pool: bool,
     plan_cache: bool,
-    spec: bool,
     /// `MGPU_TILE_SKIP` — the only switch that defaults **off**: tile
     /// skipping changes simulated timing (that is its point), so it must
     /// be asked for.
@@ -192,9 +172,7 @@ impl EnvKnobs {
         };
         Ok(EnvKnobs {
             engine,
-            pool: resolve_switch(&get, POOL_ENV)?,
-            plan_cache: resolve_switch(&get, PLAN_CACHE_ENV)?,
-            spec: resolve_switch(&get, SPEC_ENV)?,
+            plan_cache: resolve_switch_or(&get, PLAN_CACHE_ENV, true)?,
             tile_skip: resolve_switch_or(&get, TILE_SKIP_ENV, false)?,
             threads,
             faults,
@@ -202,17 +180,15 @@ impl EnvKnobs {
     }
 }
 
-const ENGINE_GRAMMAR: &str = "expected `scalar`, `batched` or `compiled`";
+const ENGINE_GRAMMAR: &str = "expected `scalar` or `compiled`";
 const THREADS_GRAMMAR: &str = "expected a positive integer";
 const SWITCH_GRAMMAR: &str = "expected `on`/`1`/`true`/`yes` or `off`/`0`/`false`/`no`";
 
-/// `scalar`/`batched`/`compiled`, case-insensitive and trimmed.
+/// `scalar`/`compiled`, case-insensitive and trimmed.
 fn parse_engine(value: &str) -> Option<Engine> {
     let v = value.trim();
     if v.eq_ignore_ascii_case("scalar") {
         Some(Engine::Scalar)
-    } else if v.eq_ignore_ascii_case("batched") {
-        Some(Engine::Batched)
     } else if v.eq_ignore_ascii_case("compiled") {
         Some(Engine::Compiled)
     } else {
@@ -221,8 +197,8 @@ fn parse_engine(value: &str) -> Option<Engine> {
 }
 
 /// `on`/`1`/`true`/`yes` or `off`/`0`/`false`/`no`, case-insensitive and
-/// trimmed. Anything else is a grammar error — an `MGPU_POOL=offf` typo
-/// must not silently leave the pool on.
+/// trimmed. Anything else is a grammar error — an `MGPU_PLAN_CACHE=offf`
+/// typo must not silently leave the cache on.
 fn parse_switch(value: &str) -> Option<bool> {
     match value.trim().to_ascii_lowercase().as_str() {
         "on" | "1" | "true" | "yes" => Some(true),
@@ -235,13 +211,6 @@ fn parse_switch(value: &str) -> Option<bool> {
 /// of zero is meaningless, and silently clamping it would mask the typo).
 fn parse_thread_count(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-fn resolve_switch(
-    get: &impl Fn(&'static str) -> Option<String>,
-    var: &'static str,
-) -> Result<bool, EnvKnobError> {
-    resolve_switch_or(get, var, true)
 }
 
 fn resolve_switch_or(
@@ -273,7 +242,7 @@ fn env_knobs_or_panic() -> &'static EnvKnobs {
 
 impl Engine {
     /// The engine selected by `MGPU_ENGINE`, defaulting to
-    /// [`Engine::Batched`] when unset. Resolved **once** per process and
+    /// [`Engine::Compiled`] when unset. Resolved **once** per process and
     /// cached thereafter, so a mid-run environment mutation can never
     /// flip engines between draws.
     ///
@@ -308,9 +277,8 @@ pub(crate) fn env_fault_plan() -> Result<Option<FaultPlan>, EnvKnobError> {
 ///
 /// The framebuffer is partitioned into chunks of this many rows; the
 /// chunk→rows (and therefore chunk→bytes) mapping depends only on the
-/// target size and band, never on scheduling — whether chunks are dealt
-/// round-robin (legacy scope path) or claimed by work-stealing (pool
-/// path), every byte each chunk writes is the same.
+/// target size and band, never on scheduling — whichever worker claims a
+/// chunk, every byte it writes is the same.
 pub const CHUNK_ROWS: u32 = 16;
 
 /// How the functional fragment engine executes kernels on the host.
@@ -318,28 +286,23 @@ pub const CHUNK_ROWS: u32 = 16;
 pub struct ExecConfig {
     threads: usize,
     engine: Engine,
-    pool: bool,
-    spec: bool,
     tile_skip: bool,
 }
 
 impl ExecConfig {
-    /// The original single-threaded scalar execution path (worker pool,
-    /// plan cache and bind-time specialisation bypassed).
+    /// The single-threaded scalar reference path: one thread on the
+    /// reference engine, tile skipping off.
     #[must_use]
     pub const fn serial() -> Self {
         ExecConfig {
             threads: 1,
             engine: Engine::Scalar,
-            pool: false,
-            spec: false,
             tile_skip: false,
         }
     }
 
     /// Executes fragments on `threads` worker threads (clamped to ≥ 1),
-    /// with the environment-selected engine, pool and specialisation
-    /// modes.
+    /// with the environment-selected engine and tile-skip mode.
     ///
     /// # Panics
     ///
@@ -351,15 +314,13 @@ impl ExecConfig {
         ExecConfig {
             threads: threads.max(1),
             engine: knobs.engine,
-            pool: knobs.pool,
-            spec: knobs.spec,
             tile_skip: knobs.tile_skip,
         }
     }
 
     /// The environment-driven configuration: `MGPU_THREADS` (falling back
-    /// to the machine's available parallelism), `MGPU_ENGINE`, `MGPU_POOL`
-    /// and `MGPU_SPEC`, all from the once-per-process snapshot.
+    /// to the machine's available parallelism), `MGPU_ENGINE` and
+    /// `MGPU_TILE_SKIP`, all from the once-per-process snapshot.
     ///
     /// # Errors
     ///
@@ -378,8 +339,6 @@ impl ExecConfig {
         Ok(ExecConfig {
             threads: threads.max(1),
             engine: knobs.engine,
-            pool: knobs.pool,
-            spec: knobs.spec,
             tile_skip: knobs.tile_skip,
         })
     }
@@ -414,29 +373,6 @@ impl ExecConfig {
         self
     }
 
-    /// This configuration with the persistent-pool dispatcher switched on
-    /// or off. With it off, draws use the legacy per-draw `thread::scope`
-    /// spawn path with round-robin chunk dealing and no plan caching —
-    /// byte-identical output, pre-pool wall-clock behaviour.
-    #[must_use]
-    pub const fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// This configuration with bind-time uniform specialisation switched
-    /// on or off. Specialisation only applies on the batched and compiled
-    /// tiers (the scalar tier is always the pristine reference
-    /// interpreter); with it off, those engines run the original shader
-    /// with uniforms resolved at bind time. Byte-identical either way — this knob
-    /// exists so the conformance lattice can attribute a divergence to
-    /// specialisation as opposed to lane batching.
-    #[must_use]
-    pub const fn with_specialization(mut self, spec: bool) -> Self {
-        self.spec = spec;
-        self
-    }
-
     /// This configuration with tile-level redundancy elimination switched
     /// on or off. Unlike the other knobs this is **not** purely a
     /// wall-clock switch: skipped tiles legitimately change the simulated
@@ -460,31 +396,11 @@ impl ExecConfig {
         self.engine
     }
 
-    /// Whether draws dispatch through the persistent worker pool (and may
-    /// use the draw-plan cache) rather than the legacy scope-spawn path.
-    #[must_use]
-    pub fn pool_enabled(&self) -> bool {
-        self.pool
-    }
-
-    /// Whether the batched tier specialises shaders against their bound
-    /// uniforms at bind time (always `false` on the scalar tier).
-    #[must_use]
-    pub fn specialization(&self) -> bool {
-        self.spec
-    }
-
     /// Whether draws consult the per-context tile-signature cache and
     /// replay provably-unchanged tiles instead of shading them.
     #[must_use]
     pub fn tile_skip(&self) -> bool {
         self.tile_skip
-    }
-
-    /// Whether this configuration takes the serial path.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
     }
 }
 
@@ -502,15 +418,12 @@ mod tests {
     #[test]
     fn serial_is_one_thread() {
         assert_eq!(ExecConfig::serial().threads(), 1);
-        assert!(ExecConfig::serial().is_serial());
-        assert!(!ExecConfig::serial().pool_enabled());
     }
 
     #[test]
     fn with_threads_clamps_to_one() {
         assert_eq!(ExecConfig::with_threads(0).threads(), 1);
         assert_eq!(ExecConfig::with_threads(8).threads(), 8);
-        assert!(!ExecConfig::with_threads(8).is_serial());
     }
 
     #[test]
@@ -530,18 +443,9 @@ mod tests {
         let cfg = ExecConfig::with_threads(4).with_engine(Engine::Scalar);
         assert_eq!(cfg.engine(), Engine::Scalar);
         assert_eq!(cfg.threads(), 4);
-        let cfg = cfg.with_engine(Engine::Batched).with_thread_count(2);
-        assert_eq!(cfg.engine(), Engine::Batched);
+        let cfg = cfg.with_engine(Engine::Compiled).with_thread_count(2);
+        assert_eq!(cfg.engine(), Engine::Compiled);
         assert_eq!(cfg.threads(), 2);
-    }
-
-    #[test]
-    fn pool_builder_round_trips() {
-        let cfg = ExecConfig::with_threads(4).with_pool(false);
-        assert!(!cfg.pool_enabled());
-        assert!(cfg.with_pool(true).pool_enabled());
-        // Toggling the pool leaves the other knobs alone.
-        assert_eq!(cfg.threads(), 4);
     }
 
     #[test]
@@ -553,20 +457,6 @@ mod tests {
         // Toggling tile skipping leaves the other knobs alone.
         assert_eq!(cfg.threads(), 4);
         assert_eq!(cfg.engine(), ExecConfig::with_threads(4).engine());
-    }
-
-    #[test]
-    fn specialization_builder_round_trips() {
-        assert!(!ExecConfig::serial().specialization());
-        let cfg = ExecConfig::with_threads(4).with_specialization(false);
-        assert!(!cfg.specialization());
-        assert!(cfg.with_specialization(true).specialization());
-        // Toggling specialisation leaves the other knobs alone.
-        assert_eq!(cfg.threads(), 4);
-        assert_eq!(
-            cfg.pool_enabled(),
-            ExecConfig::with_threads(4).pool_enabled()
-        );
     }
 
     /// Resolves a snapshot in which exactly one knob is set.
@@ -589,11 +479,7 @@ mod tests {
                 format!("\t{}\n", token.to_uppercase()),
             ]
         };
-        for (token, engine) in [
-            ("scalar", Engine::Scalar),
-            ("batched", Engine::Batched),
-            ("compiled", Engine::Compiled),
-        ] {
+        for (token, engine) in [("scalar", Engine::Scalar), ("compiled", Engine::Compiled)] {
             for s in spellings(token) {
                 assert_eq!(parse_engine(&s), Some(engine), "engine `{s}`");
                 let knobs = resolve_one(ENGINE_ENV, &s).unwrap();
@@ -612,12 +498,10 @@ mod tests {
         ] {
             for s in spellings(token) {
                 assert_eq!(parse_switch(&s), Some(on), "switch `{s}`");
-                for var in [POOL_ENV, PLAN_CACHE_ENV, SPEC_ENV, TILE_SKIP_ENV] {
+                for var in [PLAN_CACHE_ENV, TILE_SKIP_ENV] {
                     let knobs = resolve_one(var, &s).unwrap();
                     let got = match var {
-                        POOL_ENV => knobs.pool,
                         PLAN_CACHE_ENV => knobs.plan_cache,
-                        SPEC_ENV => knobs.spec,
                         _ => knobs.tile_skip,
                     };
                     assert_eq!(got, on, "{var}=`{s}`");
@@ -634,8 +518,8 @@ mod tests {
         // Unset and empty both mean "no plan", not an error.
         assert_eq!(resolve_one(FAULTS_ENV, "  ").unwrap().faults, None);
         let defaults = EnvKnobs::resolve(|_| None).unwrap();
-        assert_eq!(defaults.engine, Engine::Batched);
-        assert!(defaults.pool && defaults.plan_cache && defaults.spec);
+        assert_eq!(defaults.engine, Engine::Compiled);
+        assert!(defaults.plan_cache);
         assert!(!defaults.tile_skip, "tile skipping must default off");
         assert_eq!(defaults.threads, None);
         assert_eq!(defaults.faults, None);
@@ -645,7 +529,17 @@ mod tests {
     /// variable and its verbatim value — never a silent default.
     #[test]
     fn knob_grammar_rejects_invalid_values_with_typed_errors() {
-        let engine_bad = ["typo", "vliw", "scalarr", "batched compiled", "2", ""];
+        // Old `.case` files and scripts may still say `batched`: it must
+        // fail like any other unknown name, not fall back to a default.
+        let engine_bad = [
+            "typo",
+            "vliw",
+            "scalarr",
+            "batched",
+            "scalar compiled",
+            "2",
+            "",
+        ];
         for v in engine_bad {
             assert_eq!(parse_engine(v), None, "engine `{v}`");
             let err = resolve_one(ENGINE_ENV, v).unwrap_err();
@@ -656,7 +550,7 @@ mod tests {
         let switch_bad = ["offf", "enabled", "2", "-1", "o n", ""];
         for v in switch_bad {
             assert_eq!(parse_switch(v), None, "switch `{v}`");
-            for var in [POOL_ENV, PLAN_CACHE_ENV, SPEC_ENV, TILE_SKIP_ENV] {
+            for var in [PLAN_CACHE_ENV, TILE_SKIP_ENV] {
                 let err = resolve_one(var, v).unwrap_err();
                 assert_eq!((err.var, err.value.as_str()), (var, v));
             }
@@ -682,9 +576,7 @@ mod tests {
             let v = match var {
                 ENGINE_ENV => "compiled",
                 THREADS_ENV => "3",
-                POOL_ENV => "on",
                 PLAN_CACHE_ENV => "off",
-                SPEC_ENV => "no",
                 TILE_SKIP_ENV => "yes",
                 FAULTS_ENV => "seed=4",
                 _ => return None,
@@ -694,7 +586,7 @@ mod tests {
         .unwrap();
         assert_eq!(knobs.engine, Engine::Compiled);
         assert_eq!(knobs.threads, Some(3));
-        assert!(knobs.pool && !knobs.plan_cache && !knobs.spec);
+        assert!(!knobs.plan_cache);
         assert!(knobs.tile_skip);
         assert_eq!(knobs.faults, Some(FaultPlan::seeded(4)));
 
@@ -710,11 +602,11 @@ mod tests {
     #[test]
     fn engine_resolution_is_stable_across_calls() {
         // The env snapshot is taken once: two configs built at different
-        // times always agree on engine and pool mode.
+        // times always agree on engine and tile-skip mode.
         let a = ExecConfig::with_threads(2);
         let b = ExecConfig::with_threads(7);
         assert_eq!(a.engine(), b.engine());
-        assert_eq!(a.pool_enabled(), b.pool_enabled());
+        assert_eq!(a.tile_skip(), b.tile_skip());
         assert_eq!(Engine::from_env(), a.engine());
     }
 }

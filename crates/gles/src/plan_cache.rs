@@ -3,11 +3,14 @@
 //! Multi-pass GPGPU pipelines re-issue near-identical draws: a block-16
 //! sgemm at 1024² runs 64 passes per multiply, each differing only in one
 //! scalar uniform, and iterative pipelines repeat whole uniform cycles
-//! every multiply. The per-draw setup those draws repeat — uniform
-//! specialisation of the shader, column-table hoisting, engine register
-//! allocation — depends only on (shader, uniforms, engine, target
-//! geometry, corners), so this cache keys finished [`DrawPlan`]s by
-//! exactly that tuple and hands them back on repeat draws.
+//! every multiply. The per-draw setup those draws repeat — lowering the
+//! shader into the compiled tier's closure chain, column-table hoisting,
+//! engine register allocation — depends only on (shader, uniforms,
+//! engine, target geometry, corners), so this cache keys finished
+//! [`DrawPlan`]s by exactly that tuple and hands them back on repeat
+//! draws. With the cache disabled (`MGPU_PLAN_CACHE=off`) the context
+//! still recycles the last plan's allocations, but rebuilds it every
+//! draw.
 //!
 //! The shader enters the key as its **shader id** from the context's
 //! shader memo ([`crate::shader_memo`]), not as the program handle.
@@ -65,10 +68,6 @@ pub(crate) struct PlanKey {
     pub uniform_hash: u64,
     /// Fragment engine tier the plan's seats were built for.
     pub engine: Engine,
-    /// Whether the plan's shader was specialised against the bound
-    /// uniforms at build time (`MGPU_SPEC`) — a spec-on plan must never be
-    /// served to a spec-off draw, or vice versa.
-    pub spec: bool,
     /// Target geometry the column table was hoisted for.
     pub width: u32,
     /// Target height (plans are band-agnostic but the band validator
@@ -253,7 +252,6 @@ mod tests {
             &shader,
             &UniformValues::new(),
             Engine::Scalar,
-            false,
             &[texcoord_corners()],
             8,
             None,
@@ -266,7 +264,6 @@ mod tests {
             shader,
             uniform_hash,
             engine: Engine::Scalar,
-            spec: false,
             width: 8,
             height: 8,
             channels: 4,

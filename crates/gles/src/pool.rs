@@ -1,12 +1,12 @@
 //! A persistent, condvar-parked worker pool for the functional rasteriser.
 //!
-//! The legacy execution path spawns fresh OS threads inside a
-//! [`std::thread::scope`] on **every draw**; on multi-pass GPGPU pipelines
-//! (a block-16 sgemm at 1024² issues 64 draws per multiply) thread spawn
-//! and join dominate per-draw overhead. This pool spawns its workers once,
-//! parks them on a condvar between draws, and hands each draw out as a
-//! borrowed job closure — the steady-state cost of a dispatch is one mutex
-//! round-trip and a `notify_all`.
+//! Spawning fresh OS threads inside a [`std::thread::scope`] on **every
+//! draw** would let thread spawn and join dominate per-draw overhead on
+//! multi-pass GPGPU pipelines (a block-16 sgemm at 1024² makes 64 draws
+//! per multiply). This pool spawns its workers once, parks them on a
+//! condvar between draws, and hands each draw out as a borrowed job
+//! closure — the steady-state cost of a dispatch is one mutex round-trip
+//! and a `notify_all`.
 //!
 //! ## Lifecycle
 //!

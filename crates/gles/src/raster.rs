@@ -6,46 +6,43 @@
 //! per fragment); arbitrary triangle meshes are out of scope for the
 //! reproduction and rejected by the context layer.
 //!
-//! Two entry points exist: the closure-based [`rasterize_quad`] (the
-//! serial scalar reference) and [`rasterize_quad_into`], which writes
-//! quantised RGBA8 bytes straight into a target buffer, can fan the work
-//! out over a [`std::thread::scope`] worker pool, and can execute on
-//! either tier of the fragment engine according to an [`ExecConfig`]:
+//! Every draw takes one path. [`DrawPlan::build`] captures everything a
+//! draw sets up that does not depend on framebuffer or texture contents —
+//! the shader, the column-hoisted interpolation table, the compiled
+//! tier's lowered program and per-worker engine seats — so the context's
+//! plan cache can hand it back on repeat draws. [`execute_plan`] then
+//! shades a row band: on the calling thread when one thread (or one
+//! chunk) suffices, otherwise over the context's persistent
+//! [`Executor`](crate::Executor) with work-stealing chunk claiming.
+//! [`execute_plan_rect`] shades a single tile rect, which is how
+//! tile-level redundancy elimination re-shades only the stale tiles.
+//! Chunk→bytes assignment is index-based and disjoint, so the stealing
+//! schedule is byte-for-byte invisible.
 //!
-//! * [`Engine::Scalar`] — the original per-fragment [`Executor`] over the
-//!   unmodified shader;
-//! * [`Engine::Batched`] — the shader is first specialised against the
-//!   bound uniforms ([`mgpu_shader::specialize`]), then executed in
-//!   [`LANES`]-wide batches by the SoA [`BatchExecutor`].
+//! A plan executes on the fragment-engine tier its [`Engine`] names:
+//!
+//! * [`Engine::Scalar`] — the per-fragment reference [`ExecCore`] over
+//!   the unmodified shader;
+//! * [`Engine::Compiled`] — the shader lowered once per plan into a
+//!   [`CompiledProgram`] (uniforms folded into constant planes), run in
+//!   [`LANES`]-wide batches by one [`CompiledCore`] per seat.
 //!
 //! Both tiers share one interpolation scheme: a per-column table of the
 //! horizontal lerps (which depend only on `x`), finished per fragment with
 //! the vertical lerp — the exact f32 expressions of [`interpolate`], just
 //! hoisted, so every engine/thread-count combination is byte-for-byte
 //! identical. The determinism tests at the workspace root prove it.
-//!
-//! On top of the per-draw entry points sits the **planned** path the
-//! context uses when its persistent pool is enabled: a [`DrawPlan`]
-//! captures everything a draw sets up that does not depend on the
-//! framebuffer contents — the (possibly specialised) shader, the column
-//! table, and per-worker engine seats — so repeated draws can skip that
-//! setup, and [`execute_plan`] dispatches it over the context's
-//! [`WorkerPool`] with work-stealing chunk claiming instead of per-draw
-//! thread spawning. Chunk→bytes assignment is index-based and disjoint,
-//! so the stealing schedule is byte-for-byte invisible.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{
-    specialize, BatchCore, BatchExecutor, CompiledCore, CompiledProgram, ExecCore, ExecError,
-    Executor, Sampler, UniformValues, LANES,
+    CompiledCore, CompiledProgram, ExecCore, ExecError, Sampler, UniformValues, LANES,
 };
 
-use crate::exec::{Engine, ExecConfig, CHUNK_ROWS};
+use crate::exec::{Engine, CHUNK_ROWS};
 use crate::pool::Executor as PoolExecutor;
 
 /// Corner values for one varying, in the order: (0,0), (1,0), (0,1), (1,1)
@@ -127,174 +124,9 @@ impl ColumnTable {
     }
 }
 
-/// Per-worker execution state for one tier of the fragment engine.
-enum FragEngine<'s> {
-    /// Per-fragment scalar interpretation.
-    Scalar(Executor<'s>),
-    /// Lane-batched SoA interpretation (boxed: the register planes are
-    /// large and the scratch buffers live alongside them).
-    Batched(Box<BatchState<'s>>),
-    /// Bind-time lowering to fused native closures (boxed: the plane file
-    /// is large).
-    Compiled(Box<CompiledState>),
-}
-
-/// The batched tier plus its reusable staging buffers.
-struct BatchState<'s> {
-    exec: BatchExecutor<'s>,
-    /// Slot-major varying staging, stride [`LANES`].
-    varyings: Vec<[f32; 4]>,
-    /// Per-lane output colours of the current batch.
-    colors: [[f32; 4]; LANES],
-}
-
-/// The compiled tier — its lowered program, plane file and staging
-/// buffers. The legacy (plan-less) dispatch path owns the program per
-/// worker; the planned path shares one build across seats instead (see
-/// [`CompiledSeat`]).
-struct CompiledState {
-    program: CompiledProgram,
-    core: CompiledCore,
-    /// Slot-major varying staging, stride [`LANES`].
-    varyings: Vec<[f32; 4]>,
-    /// Per-lane output colours of the current batch.
-    colors: [[f32; 4]; LANES],
-}
-
-impl<'s> FragEngine<'s> {
-    fn new(
-        shader: &'s Shader,
-        uniforms: &UniformValues,
-        engine: Engine,
-        slots: usize,
-    ) -> Result<Self, ExecError> {
-        Ok(match engine {
-            Engine::Scalar => FragEngine::Scalar(Executor::new(shader, uniforms)?),
-            Engine::Batched => FragEngine::Batched(Box::new(BatchState {
-                exec: BatchExecutor::new(shader, uniforms)?,
-                varyings: vec![[0.0f32; 4]; slots * LANES],
-                colors: [[0.0f32; 4]; LANES],
-            })),
-            Engine::Compiled => {
-                let program = CompiledProgram::build(shader, uniforms)?;
-                let core = CompiledCore::new(&program);
-                FragEngine::Compiled(Box::new(CompiledState {
-                    program,
-                    core,
-                    varyings: vec![[0.0f32; 4]; slots * LANES],
-                    colors: [[0.0f32; 4]; LANES],
-                }))
-            }
-        })
-    }
-}
-
-/// Runs the engine over rows `y0..y1` of the grid, calling `emit` for
-/// every fragment with its raw output colour, in row-major fragment order.
-/// Shared by every entry point and worker, so all paths interpolate and
-/// execute through the same code.
-fn drive_fragments(
-    engine: &mut FragEngine<'_>,
-    samplers: &[&dyn Sampler],
-    table: &ColumnTable,
-    height: u32,
-    y0: u32,
-    y1: u32,
-    mut emit: impl FnMut(u32, u32, [f32; 4]),
-) -> Result<(), ExecError> {
-    let width = table.width as u32;
-    match engine {
-        FragEngine::Scalar(ex) => {
-            let mut varying_values = vec![[0.0f32; 4]; table.slots];
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                for x in 0..width {
-                    for (slot, val) in varying_values.iter_mut().enumerate() {
-                        *val = table.value(slot, x as usize, v);
-                    }
-                    emit(x, y, ex.run(&varying_values, samplers)?);
-                }
-            }
-        }
-        FragEngine::Batched(st) => {
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                let mut x0 = 0u32;
-                while x0 < width {
-                    let n = (width - x0).min(LANES as u32) as usize;
-                    for slot in 0..table.slots {
-                        for l in 0..n {
-                            st.varyings[slot * LANES + l] = table.value(slot, x0 as usize + l, v);
-                        }
-                    }
-                    st.exec.run(&st.varyings, n, samplers, &mut st.colors)?;
-                    for (l, &color) in st.colors[..n].iter().enumerate() {
-                        emit(x0 + l as u32, y, color);
-                    }
-                    x0 += n as u32;
-                }
-            }
-        }
-        FragEngine::Compiled(st) => {
-            let CompiledState {
-                program,
-                core,
-                varyings,
-                colors,
-            } = &mut **st;
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                let mut x0 = 0u32;
-                while x0 < width {
-                    let n = (width - x0).min(LANES as u32) as usize;
-                    for slot in 0..table.slots {
-                        for l in 0..n {
-                            varyings[slot * LANES + l] = table.value(slot, x0 as usize + l, v);
-                        }
-                    }
-                    program.run(core, varyings, n, samplers, colors)?;
-                    for (l, &color) in colors[..n].iter().enumerate() {
-                        emit(x0 + l as u32, y, color);
-                    }
-                    x0 += n as u32;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs `shader` over a `width`×`height` grid, calling `write` for every
-/// fragment with its raw (unclamped) output colour.
-///
-/// This is the serial scalar reference path: the unmodified shader on the
-/// per-fragment [`Executor`], one fragment at a time.
-///
-/// `corners` supplies one corner set per varying slot, in shader declaration
-/// order.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] if uniforms or samplers are missing, or the corner
-/// count does not match the shader's varyings.
-pub fn rasterize_quad(
-    shader: &Shader,
-    uniforms: &UniformValues,
-    samplers: &[&dyn Sampler],
-    width: u32,
-    height: u32,
-    corners: &[VaryingCorners],
-    write: impl FnMut(u32, u32, [f32; 4]),
-) -> Result<(), ExecError> {
-    check_corners(shader, corners)?;
-    let table = ColumnTable::new(corners, width);
-    let mut engine = FragEngine::new(shader, uniforms, Engine::Scalar, corners.len())?;
-    drive_fragments(&mut engine, samplers, &table, height, 0, height, write)
-}
-
-/// A writable pixel buffer for [`rasterize_quad_into`].
+/// A writable pixel buffer for [`execute_plan`].
 #[derive(Debug)]
-pub struct RasterTarget<'a> {
+pub(crate) struct RasterTarget<'a> {
     /// Target width in pixels.
     pub width: u32,
     /// Target height in pixels.
@@ -303,200 +135,6 @@ pub struct RasterTarget<'a> {
     pub channels: usize,
     /// Row-major pixel bytes, at least `width * height * channels` long.
     pub data: &'a mut [u8],
-}
-
-/// Runs `shader` over the target grid, writing quantised pixels directly
-/// into `target.data` — serially, or on a scoped worker pool when `exec`
-/// asks for more than one thread, on the fragment-engine tier `exec`
-/// selects. With [`Engine::Batched`] the shader is first specialised
-/// against the bound uniforms, once per draw.
-///
-/// The framebuffer is cut into fixed chunks of [`CHUNK_ROWS`] rows;
-/// chunks are dealt to workers round-robin by index and each worker runs
-/// its own engine instance. No execution state is shared between workers,
-/// so the output is byte-for-byte identical to the serial path. A kernel
-/// failure (or panic) in any chunk surfaces as the error of the
-/// lowest-index failing chunk — the same error the serial path would
-/// report first.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] if uniforms or samplers are missing, the corner
-/// count does not match the shader's varyings, the buffer is too small,
-/// or the kernel fails (or panics) on any fragment.
-pub fn rasterize_quad_into(
-    shader: &Shader,
-    uniforms: &UniformValues,
-    samplers: &[&dyn Sampler],
-    corners: &[VaryingCorners],
-    target: RasterTarget<'_>,
-    exec: &ExecConfig,
-) -> Result<(), ExecError> {
-    let full = target.height;
-    rasterize_quad_rows_into(shader, uniforms, samplers, corners, target, 0, full, exec)
-}
-
-/// Like [`rasterize_quad_into`], but shades only rows `y0..y1` of the
-/// target, leaving every other row's bytes untouched. Fragment positions
-/// stay global — row `y` of a band draw is bit-identical to row `y` of a
-/// full draw — so a draw split into bands reassembles the exact full-draw
-/// image. This is the primitive behind watchdog-driven draw splitting: a
-/// pass whose estimated GPU time busts the per-draw budget is re-issued as
-/// several row-band sub-draws.
-///
-/// # Errors
-///
-/// As [`rasterize_quad_into`], plus an [`ExecError`] when `y0..y1` is not
-/// a sub-range of `0..target.height`.
-#[allow(clippy::too_many_arguments)]
-pub fn rasterize_quad_rows_into(
-    shader: &Shader,
-    uniforms: &UniformValues,
-    samplers: &[&dyn Sampler],
-    corners: &[VaryingCorners],
-    target: RasterTarget<'_>,
-    y0: u32,
-    y1: u32,
-    exec: &ExecConfig,
-) -> Result<(), ExecError> {
-    check_corners(shader, corners)?;
-    let RasterTarget {
-        width,
-        height,
-        channels,
-        data,
-    } = target;
-    if y0 > y1 || y1 > height {
-        return Err(ExecError::new(format!(
-            "row band {y0}..{y1} outside target height {height}"
-        )));
-    }
-    let needed = width as usize * height as usize * channels;
-    if data.len() < needed {
-        return Err(ExecError::new(format!(
-            "target buffer holds {} bytes, {width}x{height}x{channels} needs {needed}",
-            data.len()
-        )));
-    }
-    if needed == 0 || y0 == y1 {
-        return Ok(());
-    }
-    let row_bytes = width as usize * channels;
-    let data = &mut data[y0 as usize * row_bytes..y1 as usize * row_bytes];
-    let band_rows = y1 - y0;
-
-    // Bind-time specialisation: fold the bound uniforms into the shader
-    // as constants, once per draw. Only the batched and compiled tiers
-    // use it — the scalar tier stays the pristine reference path — and
-    // `MGPU_SPEC=off` (or `ExecConfig::with_specialization(false)`) skips
-    // it entirely, in which case uniforms resolve at seat bind time (the
-    // compiled tier folds them into constant planes either way). Timing
-    // is computed by the caller from the original shader, so this can
-    // never perturb the simulated cost.
-    let engine_kind = exec.engine();
-    let specialized;
-    let shader = match engine_kind {
-        Engine::Batched | Engine::Compiled if exec.specialization() => {
-            specialized = specialize(shader, uniforms)?;
-            &specialized
-        }
-        Engine::Scalar | Engine::Batched | Engine::Compiled => shader,
-    };
-    let table = ColumnTable::new(corners, width);
-
-    let n_chunks = band_rows.div_ceil(CHUNK_ROWS) as usize;
-    let threads = exec.threads().min(n_chunks);
-    if threads <= 1 {
-        let mut engine = FragEngine::new(shader, uniforms, engine_kind, corners.len())?;
-        return run_rows(
-            &mut engine,
-            samplers,
-            &table,
-            height,
-            y0,
-            y1,
-            channels,
-            data,
-        );
-    }
-
-    // Deal fixed row-chunks to workers round-robin by chunk index. The
-    // assignment depends only on the target size and thread count, and
-    // every chunk's bytes are disjoint, so no synchronisation is needed.
-    let chunk_bytes = CHUNK_ROWS as usize * width as usize * channels;
-    let mut per_worker: Vec<Vec<(usize, &mut [u8])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, slice) in data.chunks_mut(chunk_bytes).enumerate() {
-        per_worker[i % threads].push((i, slice));
-    }
-
-    let table = &table;
-    let first_err = thread::scope(|s| {
-        let handles: Vec<_> = per_worker
-            .into_iter()
-            .map(|chunks| {
-                s.spawn(move || -> Option<(usize, ExecError)> {
-                    // One engine instance per worker.
-                    let mut engine =
-                        match FragEngine::new(shader, uniforms, engine_kind, corners.len()) {
-                            Ok(engine) => engine,
-                            Err(e) => return Some((chunks.first().map_or(0, |(i, _)| *i), e)),
-                        };
-                    for (i, slice) in chunks {
-                        // Chunk indices are band-relative; rows stay global
-                        // so band draws are bit-identical to full draws.
-                        let cy0 = y0 + i as u32 * CHUNK_ROWS;
-                        let cy1 = (cy0 + CHUNK_ROWS).min(y1);
-                        // Contain panics per chunk so no unwind crosses the
-                        // scope boundary and poisons the caller.
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_rows(
-                                &mut engine,
-                                samplers,
-                                table,
-                                height,
-                                cy0,
-                                cy1,
-                                channels,
-                                slice,
-                            )
-                        }));
-                        match run {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => return Some((i, e)),
-                            Err(p) => {
-                                return Some((
-                                    i,
-                                    ExecError::new(format!(
-                                        "kernel panicked: {}",
-                                        panic_message(&*p)
-                                    )),
-                                ))
-                            }
-                        }
-                    }
-                    None
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| match h.join() {
-                // Worker panics are caught per chunk; a join failure means
-                // the unwinding machinery itself broke — surface it as the
-                // lowest-priority error rather than panicking the caller.
-                Ok(result) => result,
-                Err(p) => Some((
-                    usize::MAX,
-                    ExecError::new(format!("worker thread panicked: {}", panic_message(&*p))),
-                )),
-            })
-            .min_by_key(|(i, _)| *i)
-    });
-
-    match first_err {
-        None => Ok(()),
-        Some((_, e)) => Err(e),
-    }
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -521,50 +159,16 @@ fn check_corners(shader: &Shader, corners: &[VaryingCorners]) -> Result<(), Exec
     Ok(())
 }
 
-/// Executes rows `y0..y1`, quantising into `out` (which covers exactly
-/// those rows). Shared by the serial path and every parallel worker, so
-/// both paths run the same per-fragment code.
-#[allow(clippy::too_many_arguments)]
-fn run_rows(
-    engine: &mut FragEngine<'_>,
-    samplers: &[&dyn Sampler],
-    table: &ColumnTable,
-    height: u32,
-    y0: u32,
-    y1: u32,
-    channels: usize,
-    out: &mut [u8],
-) -> Result<(), ExecError> {
-    let width = table.width;
-    drive_fragments(engine, samplers, table, height, y0, y1, |x, y, rgba| {
-        let px = quantize_rgba8(rgba);
-        let idx = ((y - y0) as usize * width + x as usize) * channels;
-        out[idx..idx + channels].copy_from_slice(&px[..channels]);
-    })
-}
-
-/// One participant's owned engine state in a planned dispatch — the
-/// self-contained counterpart of [`FragEngine`], built on
-/// [`ExecCore`]/[`BatchCore`] so it holds no shader borrow and a
+/// One participant's owned engine state in a planned dispatch, built on
+/// [`ExecCore`]/[`CompiledCore`] so it holds no shader borrow and a
 /// [`DrawPlan`] can cache it across draws.
 enum FragSeat {
     /// Per-fragment scalar interpretation.
     Scalar(ExecCore),
-    /// Lane-batched SoA interpretation (boxed: large register planes).
-    Batched(Box<BatchSeat>),
     /// Fused native-closure execution (boxed: large plane file). The
     /// program is the plan's single shared build — seats only own a plane
     /// file and staging buffers.
     Compiled(Box<CompiledSeat>),
-}
-
-/// The batched tier's core plus its reusable staging buffers.
-struct BatchSeat {
-    core: BatchCore,
-    /// Slot-major varying staging, stride [`LANES`].
-    varyings: Vec<[f32; 4]>,
-    /// Per-lane output colours of the current batch.
-    colors: [[f32; 4]; LANES],
 }
 
 /// The compiled tier's plane file plus staging, sharing the plan's
@@ -588,11 +192,6 @@ impl FragSeat {
     ) -> Result<Self, ExecError> {
         Ok(match engine {
             Engine::Scalar => FragSeat::Scalar(ExecCore::new(shader, uniforms)?),
-            Engine::Batched => FragSeat::Batched(Box::new(BatchSeat {
-                core: BatchCore::new(shader, uniforms)?,
-                varyings: vec![[0.0f32; 4]; slots * LANES],
-                colors: [[0.0f32; 4]; LANES],
-            })),
             Engine::Compiled => {
                 let program = Arc::clone(
                     compiled
@@ -623,10 +222,6 @@ impl FragSeat {
     ) -> Result<(), ExecError> {
         match self {
             FragSeat::Scalar(core) => core.rebind(shader, uniforms),
-            FragSeat::Batched(seat) => {
-                seat.varyings.resize(slots * LANES, [0.0f32; 4]);
-                seat.core.rebind(shader, uniforms)
-            }
             FragSeat::Compiled(seat) => {
                 let program = Arc::clone(
                     compiled
@@ -641,43 +236,9 @@ impl FragSeat {
     }
 }
 
-/// Runs a seat over rows `y0..y1`, quantising into `out` (which covers
-/// exactly those rows) — the owned-engine counterpart of [`run_rows`],
-/// interpolating and executing through the same expressions so both
-/// dispatch paths are byte-for-byte identical.
-#[allow(clippy::too_many_arguments)]
-fn run_seat_rows(
-    seat: &mut FragSeat,
-    shader: &Shader,
-    samplers: &[&dyn Sampler],
-    table: &ColumnTable,
-    height: u32,
-    y0: u32,
-    y1: u32,
-    channels: usize,
-    out: &mut [u8],
-) -> Result<(), ExecError> {
-    let width = table.width;
-    run_seat_span(
-        seat,
-        shader,
-        samplers,
-        table,
-        height,
-        0,
-        width as u32,
-        y0,
-        y1,
-        |x, y, rgba| {
-            let px = quantize_rgba8(rgba);
-            let idx = ((y - y0) as usize * width + x as usize) * channels;
-            out[idx..idx + channels].copy_from_slice(&px[..channels]);
-        },
-    )
-}
-
-/// Runs a seat over the fragment rectangle `x0..x1` × `y0..y1`, calling
-/// `emit` with each fragment's global position and raw colour.
+/// Runs a seat over the fragment rectangle `x0..x1` × `y0..y1`,
+/// quantising each fragment into `out`, which covers exactly that
+/// rectangle (row stride `(x1 - x0) * channels`).
 ///
 /// Every fragment is a pure function of its own `(x, y)` — lanes of a
 /// batch never exchange data — so restricting a row to a column span
@@ -685,18 +246,23 @@ fn run_seat_rows(
 /// batch boundaries the span induces. This is the primitive that lets
 /// tile-level redundancy elimination re-shade a single stale tile.
 #[allow(clippy::too_many_arguments)]
-fn run_seat_span(
+fn shade_rect(
     seat: &mut FragSeat,
     shader: &Shader,
     samplers: &[&dyn Sampler],
     table: &ColumnTable,
     height: u32,
-    x0: u32,
-    x1: u32,
-    y0: u32,
-    y1: u32,
-    mut emit: impl FnMut(u32, u32, [f32; 4]),
+    (x0, x1): (u32, u32),
+    (y0, y1): (u32, u32),
+    channels: usize,
+    out: &mut [u8],
 ) -> Result<(), ExecError> {
+    let stride = (x1 - x0) as usize;
+    let mut emit = |x: u32, y: u32, rgba: [f32; 4]| {
+        let px = quantize_rgba8(rgba);
+        let idx = ((y - y0) as usize * stride + (x - x0) as usize) * channels;
+        out[idx..idx + channels].copy_from_slice(&px[..channels]);
+    };
     match seat {
         FragSeat::Scalar(core) => {
             let mut varying_values = vec![[0.0f32; 4]; table.slots];
@@ -707,26 +273,6 @@ fn run_seat_span(
                         *val = table.value(slot, x as usize, v);
                     }
                     emit(x, y, core.run(shader, &varying_values, samplers)?);
-                }
-            }
-        }
-        FragSeat::Batched(st) => {
-            for y in y0..y1 {
-                let v = (y as f32 + 0.5) / height as f32;
-                let mut xb = x0;
-                while xb < x1 {
-                    let n = (x1 - xb).min(LANES as u32) as usize;
-                    for slot in 0..table.slots {
-                        for l in 0..n {
-                            st.varyings[slot * LANES + l] = table.value(slot, xb as usize + l, v);
-                        }
-                    }
-                    st.core
-                        .run(shader, &st.varyings, n, samplers, &mut st.colors)?;
-                    for (l, &color) in st.colors[..n].iter().enumerate() {
-                        emit(xb + l as u32, y, color);
-                    }
-                    xb += n as u32;
                 }
             }
         }
@@ -760,21 +306,19 @@ fn run_seat_span(
 }
 
 /// Everything a draw sets up that does not depend on framebuffer or
-/// texture *contents*: the executable shader (specialised against the
-/// bound uniforms on the batched tier), the column-hoisted interpolation
-/// table for the target width, and per-worker engine seats. The context's
-/// plan cache keys these by (shader id, uniform hash, engine, spec,
-/// target geometry, corners), so a cached plan is only ever executed with
+/// texture *contents*: the shader, the compiled tier's lowered program,
+/// the column-hoisted interpolation table for the target width, and
+/// per-worker engine seats. The context's plan cache keys these by
+/// (shader id, uniform hash, engine, target geometry, corners), so a
+/// cached plan is only ever executed with
 /// exactly the state it was built from; sampler views are *not* part of a
 /// plan — texture contents change between GPGPU passes — and are passed
 /// fresh to every [`execute_plan`] call.
 pub(crate) struct DrawPlan {
-    /// The shader the seats are bound to: the source program's shader on
-    /// the scalar tier, its uniform-specialised clone on the batched and
-    /// compiled tiers (with specialisation enabled).
+    /// The source program's shader, which the seats are bound to.
     shader: Arc<Shader>,
     /// The compiled tier's lowered program, built once per plan and
-    /// shared by every seat (`None` on the other tiers). Caching the plan
+    /// shared by every seat (`None` on the scalar tier). Caching the plan
     /// therefore caches the lowering — a cache hit pays zero decode *and*
     /// zero build.
     compiled: Option<Arc<CompiledProgram>>,
@@ -813,23 +357,19 @@ impl DrawPlan {
     /// Returns [`ExecError`] if the corner count does not match the
     /// shader's varyings or a declared uniform has no bound value.
     pub(crate) fn build(
-        source: &Arc<Shader>,
+        shader: &Arc<Shader>,
         uniforms: &UniformValues,
         engine: Engine,
-        spec: bool,
         corners: &[VaryingCorners],
         width: u32,
         recycled: Option<DrawPlan>,
     ) -> Result<DrawPlan, ExecError> {
-        check_corners(source, corners)?;
-        let shader = match engine {
-            Engine::Batched | Engine::Compiled if spec => Arc::new(specialize(source, uniforms)?),
-            Engine::Scalar | Engine::Batched | Engine::Compiled => Arc::clone(source),
-        };
-        // Lower once per plan; every seat shares the build.
+        check_corners(shader, corners)?;
+        // Lower once per plan; every seat shares the build. Uniforms fold
+        // into constant planes here, so the original shader is lowered.
         let compiled = match engine {
-            Engine::Compiled => Some(Arc::new(CompiledProgram::build(&shader, uniforms)?)),
-            Engine::Scalar | Engine::Batched => None,
+            Engine::Compiled => Some(Arc::new(CompiledProgram::build(shader, uniforms)?)),
+            Engine::Scalar => None,
         };
         let slots = corners.len();
         let mut seats = match recycled {
@@ -837,11 +377,11 @@ impl DrawPlan {
             _ => Vec::new(),
         };
         for seat in &mut seats {
-            seat.rebind(&shader, uniforms, slots, compiled.as_ref())?;
+            seat.rebind(shader, uniforms, slots, compiled.as_ref())?;
         }
         if seats.is_empty() {
             seats.push(FragSeat::new(
-                &shader,
+                shader,
                 uniforms,
                 engine,
                 slots,
@@ -849,7 +389,7 @@ impl DrawPlan {
             )?);
         }
         Ok(DrawPlan {
-            shader,
+            shader: Arc::clone(shader),
             compiled,
             engine,
             uniforms: uniforms.clone(),
@@ -954,18 +494,19 @@ fn take_slot<'a, T: ?Sized>(slot: &Mutex<Option<&'a mut T>>) -> Option<&'a mut T
 }
 
 /// Executes a [`DrawPlan`] over rows `y0..y1` of the target, writing
-/// quantised pixels into `target.data` — serially when one thread (or one
-/// chunk) suffices, otherwise over the persistent `pool` with
-/// work-stealing chunk claiming.
+/// quantised pixels into `target.data` — on seat 0 on the calling thread
+/// when one thread (or one chunk) suffices, without spawning a pool;
+/// otherwise over the persistent `pool` with work-stealing chunk claiming.
 ///
 /// The band is cut into fixed chunks of [`CHUNK_ROWS`] rows; participants
 /// claim chunk indices from a shared atomic ticket. Which seat executes a
 /// chunk varies run to run, but chunk index alone determines both the rows
 /// shaded and the bytes written, and no execution state is shared between
-/// seats — so the output is byte-for-byte identical to the serial path
-/// (and to the legacy round-robin dispatch). A kernel failure or panic
-/// surfaces as the error of the lowest-index failing chunk, matching the
-/// legacy path's reporting.
+/// seats — so the output is byte-for-byte identical to the serial path.
+/// Fragment positions stay global, so a draw split into row bands
+/// reassembles the exact full-draw image. A kernel failure or panic
+/// surfaces as the error of the lowest-index failing chunk — the error the
+/// serial path would report first.
 ///
 /// `pool` is spawned lazily on the first dispatch that actually needs
 /// workers, sized one less than `threads` (the caller occupies seat 0).
@@ -1028,14 +569,14 @@ pub(crate) fn execute_plan(
             seats,
             ..
         } = plan;
-        return run_seat_rows(
+        return shade_rect(
             &mut seats[0],
             shader,
             samplers,
             table,
             height,
-            y0,
-            y1,
+            (0, width),
+            (y0, y1),
             channels,
             data,
         );
@@ -1084,8 +625,16 @@ pub(crate) fn execute_plan(
             // Contain panics per chunk so every failure carries its chunk
             // index and the pool's own panic flag stays a last resort.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                run_seat_rows(
-                    seat, shader, samplers, table, height, cy0, cy1, channels, slice,
+                shade_rect(
+                    seat,
+                    shader,
+                    samplers,
+                    table,
+                    height,
+                    (0, width),
+                    (cy0, cy1),
+                    channels,
+                    slice,
                 )
             }));
             match run {
@@ -1130,7 +679,7 @@ pub(crate) fn execute_plan(
 /// tile-local buffer `out` (row stride `(x1 - x0) * channels`).
 ///
 /// Fragment positions stay global — pixel `(x, y)` of a rect draw is
-/// bit-identical to pixel `(x, y)` of a full draw (see [`run_seat_span`])
+/// bit-identical to pixel `(x, y)` of a full draw (see [`shade_rect`])
 /// — so tile-level redundancy elimination can re-shade exactly the tiles
 /// whose signatures went stale and splice the bytes into the target.
 ///
@@ -1174,22 +723,16 @@ pub(crate) fn execute_plan_rect(
         seats,
         ..
     } = plan;
-    let shader: &Shader = shader;
-    run_seat_span(
+    shade_rect(
         &mut seats[0],
         shader,
         samplers,
         table,
         height,
-        x0,
-        x1,
-        y0,
-        y1,
-        |x, y, rgba| {
-            let px = quantize_rgba8(rgba);
-            let idx = ((y - y0) as usize * tile_w + (x - x0) as usize) * channels;
-            out[idx..idx + channels].copy_from_slice(&px[..channels]);
-        },
+        (x0, x1),
+        (y0, y1),
+        channels,
+        out,
     )
 }
 
@@ -1205,6 +748,32 @@ pub fn quantize_rgba8(rgba: [f32; 4]) -> [u8; 4] {
 mod tests {
     use super::*;
     use mgpu_shader::compile;
+
+    const ENGINES: [Engine; 2] = [Engine::Scalar, Engine::Compiled];
+
+    /// Varies per-fragment control flow and mixes a uniform in, so both
+    /// tiers' uniform binding and select lowering are exercised.
+    const BRANCHY: &str = "uniform float scale;\nvarying vec2 v;\n\
+         void main() {\n\
+           float a = v.x * scale + v.y;\n\
+           if (a < 1.0) { a = sqrt(a + 1.0); } else { a = a * 0.25; }\n\
+           gl_FragColor = vec4(a, fract(a * 9.0), v.x * v.y, 1.0);\n\
+         }";
+
+    fn branchy() -> (Shader, UniformValues) {
+        let mut uniforms = UniformValues::new();
+        uniforms.set_scalar("scale", 3.7);
+        (compile(BRANCHY).unwrap(), uniforms)
+    }
+
+    fn target(w: u32, h: u32, ch: usize, data: &mut [u8]) -> RasterTarget<'_> {
+        RasterTarget {
+            width: w,
+            height: h,
+            channels: ch,
+            data,
+        }
+    }
 
     #[test]
     fn interpolation_hits_corners_and_centre() {
@@ -1238,233 +807,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rasterizes_identity_coordinate_kernel() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v, 0.0, 1.0); }",
-        )
-        .unwrap();
-        let mut got = [[0.0f32; 4]; 4];
-        rasterize_quad(
-            &sh,
-            &UniformValues::new(),
-            &[],
-            2,
-            2,
-            &[texcoord_corners()],
-            |x, y, c| got[(y * 2 + x) as usize] = c,
-        )
-        .unwrap();
-        // Fragment centres of a 2x2 grid are at 0.25/0.75.
-        assert_eq!(got[0][..2], [0.25, 0.25]);
-        assert_eq!(got[1][..2], [0.75, 0.25]);
-        assert_eq!(got[2][..2], [0.25, 0.75]);
-        assert_eq!(got[3][..2], [0.75, 0.75]);
-    }
-
-    #[test]
-    fn corner_count_mismatch_errors() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v, 0.0, 1.0); }",
-        )
-        .unwrap();
-        let r = rasterize_quad(&sh, &UniformValues::new(), &[], 1, 1, &[], |_, _, _| {});
-        assert!(r.is_err());
-    }
-
-    fn raster_bytes(
-        sh: &Shader,
-        width: u32,
-        height: u32,
-        channels: usize,
-        exec: &ExecConfig,
-    ) -> Vec<u8> {
-        let mut data = vec![0u8; width as usize * height as usize * channels];
-        rasterize_quad_into(
-            sh,
-            &UniformValues::new(),
-            &[],
-            &[texcoord_corners()],
-            RasterTarget {
-                width,
-                height,
-                channels,
-                data: &mut data,
-            },
-            exec,
-        )
-        .unwrap();
-        data
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical_to_serial() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
-        )
-        .unwrap();
-        // Odd sizes straddle chunk boundaries; channels 3 exercises the
-        // fp24 layout.
-        for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1)] {
-            for &ch in &[3usize, 4] {
-                let serial = raster_bytes(&sh, w, h, ch, &ExecConfig::serial());
-                for threads in [2, 4, 8] {
-                    assert_eq!(
-                        raster_bytes(&sh, w, h, ch, &ExecConfig::with_threads(threads)),
-                        serial,
-                        "{w}x{h}x{ch} at {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_engine_is_byte_identical_to_scalar() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() {\n\
-               float a = v.x * 3.7 + v.y;\n\
-               if (a < 1.0) { a = sqrt(a + 1.0); } else { a = a * 0.25; }\n\
-               gl_FragColor = vec4(a, fract(a * 9.0), v.y, 1.0);\n\
-             }",
-        )
-        .unwrap();
-        // Widths around the lane count exercise full, partial and
-        // multi-batch rows.
-        for &(w, h) in &[(1u32, 5u32), (63, 9), (64, 3), (65, 7), (200, 11)] {
-            let scalar = raster_bytes(&sh, w, h, 4, &ExecConfig::serial());
-            for threads in [1usize, 4] {
-                let cfg = ExecConfig::with_threads(threads).with_engine(Engine::Batched);
-                assert_eq!(
-                    raster_bytes(&sh, w, h, 4, &cfg),
-                    scalar,
-                    "{w}x{h} batched at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn band_draws_reassemble_the_full_image() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
-        )
-        .unwrap();
-        for &(w, h) in &[(31u32, 23u32), (64, 64)] {
-            let full = raster_bytes(&sh, w, h, 4, &ExecConfig::with_threads(3));
-            for bands in [2u32, 3, 7] {
-                let mut data = vec![0u8; w as usize * h as usize * 4];
-                let rows_per = h.div_ceil(bands);
-                let mut y0 = 0;
-                while y0 < h {
-                    let y1 = (y0 + rows_per).min(h);
-                    rasterize_quad_rows_into(
-                        &sh,
-                        &UniformValues::new(),
-                        &[],
-                        &[texcoord_corners()],
-                        RasterTarget {
-                            width: w,
-                            height: h,
-                            channels: 4,
-                            data: &mut data,
-                        },
-                        y0,
-                        y1,
-                        &ExecConfig::with_threads(2),
-                    )
-                    .unwrap();
-                    y0 = y1;
-                }
-                assert_eq!(data, full, "{w}x{h} in {bands} bands");
-            }
-        }
-    }
-
-    #[test]
-    fn band_outside_target_errors() {
-        let sh = compile("void main() { gl_FragColor = vec4(1.0); }").unwrap();
-        let mut data = vec![0u8; 4 * 4 * 4];
-        let r = rasterize_quad_rows_into(
-            &sh,
-            &UniformValues::new(),
-            &[],
-            &[],
-            RasterTarget {
-                width: 4,
-                height: 4,
-                channels: 4,
-                data: &mut data,
-            },
-            2,
-            9,
-            &ExecConfig::serial(),
-        );
-        assert!(r.unwrap_err().to_string().contains("row band"));
-    }
-
-    /// A sampler that panics on fetch: worker panics must surface as
-    /// `ExecError`, never as an unwind out of the rasteriser.
-    struct PanicSampler;
-    impl Sampler for PanicSampler {
-        fn fetch(&self, _u: f32, _v: f32) -> [f32; 4] {
-            panic!("sampler exploded")
-        }
-    }
-
-    #[test]
-    fn worker_panic_becomes_an_error() {
-        let sh = compile(
-            "uniform sampler2D t;\nvarying vec2 v;\n\
-             void main() { gl_FragColor = texture2D(t, v); }",
-        )
-        .unwrap();
-        let mut data = vec![0u8; 32 * 32 * 4];
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let r = rasterize_quad_into(
-            &sh,
-            &UniformValues::new(),
-            &[&PanicSampler],
-            &[texcoord_corners()],
-            RasterTarget {
-                width: 32,
-                height: 32,
-                channels: 4,
-                data: &mut data,
-            },
-            &ExecConfig::with_threads(4),
-        );
-        std::panic::set_hook(prev);
-        let e = r.unwrap_err();
-        assert!(e.to_string().contains("sampler exploded"), "{e}");
-    }
-
-    #[test]
-    fn undersized_target_buffer_errors() {
-        let sh = compile("void main() { gl_FragColor = vec4(1.0); }").unwrap();
-        let mut data = vec![0u8; 7];
-        let r = rasterize_quad_into(
-            &sh,
-            &UniformValues::new(),
-            &[],
-            &[],
-            RasterTarget {
-                width: 2,
-                height: 2,
-                channels: 4,
-                data: &mut data,
-            },
-            &ExecConfig::serial(),
-        );
-        assert!(r.unwrap_err().to_string().contains("needs 16"));
-    }
-
+    /// Shades a full `w`×`h` target through a plan built from `plan`'s
+    /// recycled seats (or fresh ones), leaving the plan behind for reuse.
     #[allow(clippy::too_many_arguments)]
     fn planned_bytes(
         sh: &Shader,
@@ -1482,7 +826,6 @@ mod tests {
             &shader,
             uniforms,
             engine,
-            engine == Engine::Batched,
             &[texcoord_corners()],
             w,
             plan.take(),
@@ -1492,12 +835,7 @@ mod tests {
         execute_plan(
             &mut built,
             &[],
-            RasterTarget {
-                width: w,
-                height: h,
-                channels: ch,
-                data: &mut data,
-            },
+            target(w, h, ch, &mut data),
             0,
             h,
             threads,
@@ -1508,48 +846,91 @@ mod tests {
         data
     }
 
+    /// The serial scalar reference image: a fresh plan on seat 0.
+    fn reference_bytes(
+        sh: &Shader,
+        uniforms: &UniformValues,
+        w: u32,
+        h: u32,
+        ch: usize,
+    ) -> Vec<u8> {
+        planned_bytes(
+            sh,
+            uniforms,
+            w,
+            h,
+            ch,
+            Engine::Scalar,
+            1,
+            &mut None,
+            &mut None,
+        )
+    }
+
     #[test]
-    fn planned_dispatch_is_byte_identical_to_legacy() {
+    fn rasterizes_identity_coordinate_kernel() {
         let sh = compile(
-            "uniform float scale;\nvarying vec2 v;\n\
-             void main() {\n\
-               float a = v.x * scale + v.y;\n\
-               if (a < 1.0) { a = sqrt(a + 1.0); } else { a = a * 0.25; }\n\
-               gl_FragColor = vec4(a, fract(a * 9.0), v.x * v.y, 1.0);\n\
-             }",
+            "varying vec2 v;\n\
+             void main() { gl_FragColor = vec4(v, 0.0, 1.0); }",
         )
         .unwrap();
-        let mut uniforms = UniformValues::new();
-        uniforms.set_scalar("scale", 3.7);
-        // One pool shared across every planned dispatch, as the context
-        // holds it; plans recycled across draws exercise seat rebinding.
+        for engine in ENGINES {
+            let got = planned_bytes(
+                &sh,
+                &UniformValues::new(),
+                2,
+                2,
+                4,
+                engine,
+                1,
+                &mut None,
+                &mut None,
+            );
+            // Fragment centres of a 2x2 grid are at 0.25/0.75, which
+            // quantise to 64/191.
+            let want = [
+                64, 64, 0, 255, 191, 64, 0, 255, 64, 191, 0, 255, 191, 191, 0, 255,
+            ];
+            assert_eq!(got, want, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn corner_count_mismatch_errors() {
+        let sh = compile(
+            "varying vec2 v;\n\
+             void main() { gl_FragColor = vec4(v, 0.0, 1.0); }",
+        )
+        .unwrap();
+        let shader = Arc::new(sh);
+        for engine in ENGINES {
+            let r = DrawPlan::build(&shader, &UniformValues::new(), engine, &[], 1, None);
+            assert!(r.unwrap_err().to_string().contains("1 varyings"));
+        }
+    }
+
+    #[test]
+    fn parallel_output_is_byte_identical_to_serial() {
+        let sh = compile(
+            "varying vec2 v;\n\
+             void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
+        )
+        .unwrap();
+        let uniforms = UniformValues::new();
         let mut pool = None;
-        let mut plan = None;
-        for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1), (65, 40)] {
+        // Odd sizes straddle chunk boundaries; channels 3 exercises the
+        // fp24 layout.
+        for &(w, h) in &[(33u32, 17u32), (64, 64), (5, 97), (1, 1)] {
             for &ch in &[3usize, 4] {
-                for engine in [Engine::Scalar, Engine::Batched] {
-                    let mut legacy = vec![0u8; w as usize * h as usize * ch];
-                    rasterize_quad_into(
-                        &sh,
-                        &uniforms,
-                        &[],
-                        &[texcoord_corners()],
-                        RasterTarget {
-                            width: w,
-                            height: h,
-                            channels: ch,
-                            data: &mut legacy,
-                        },
-                        &ExecConfig::with_threads(4).with_engine(engine),
-                    )
-                    .unwrap();
-                    for threads in [1usize, 2, 4, 8] {
+                let serial = reference_bytes(&sh, &uniforms, w, h, ch);
+                for engine in ENGINES {
+                    for threads in [2, 4, 8] {
                         assert_eq!(
                             planned_bytes(
-                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut plan,
+                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut None
                             ),
-                            legacy,
-                            "{w}x{h}x{ch} {engine:?} planned at {threads} threads"
+                            serial,
+                            "{w}x{h}x{ch} {engine:?} at {threads} threads"
                         );
                     }
                 }
@@ -1558,56 +939,111 @@ mod tests {
     }
 
     #[test]
-    fn planned_band_draws_reassemble_the_full_image() {
-        let sh = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v.x, v.y, v.x * v.y, 1.0); }",
-        )
-        .unwrap();
-        let (w, h) = (31u32, 46u32);
+    fn compiled_engine_is_byte_identical_to_scalar() {
+        let (sh, uniforms) = branchy();
+        // One pool shared across every dispatch, as the context holds it;
+        // plans recycled across draws exercise seat rebinding. Widths
+        // around the lane count exercise full, partial and multi-batch
+        // rows.
         let mut pool = None;
         let mut plan = None;
-        let full = planned_bytes(
-            &sh,
-            &UniformValues::new(),
-            w,
-            h,
-            4,
-            Engine::Batched,
-            4,
-            &mut pool,
-            &mut plan,
-        );
-        let shader = Arc::new(sh.clone());
-        let mut band_plan = DrawPlan::build(
-            &shader,
-            &UniformValues::new(),
-            Engine::Batched,
-            true,
-            &[texcoord_corners()],
-            w,
-            None,
-        )
-        .unwrap();
-        let mut data = vec![0u8; w as usize * h as usize * 4];
-        for (y0, y1) in [(0u32, 19u32), (19, 33), (33, 46)] {
-            execute_plan(
-                &mut band_plan,
-                &[],
-                RasterTarget {
-                    width: w,
-                    height: h,
-                    channels: 4,
-                    data: &mut data,
-                },
-                y0,
-                y1,
-                3,
-                &mut pool,
-            )
-            .unwrap();
+        for &(w, h) in &[(1u32, 5u32), (63, 9), (64, 3), (65, 40), (200, 11)] {
+            for &ch in &[3usize, 4] {
+                let scalar = reference_bytes(&sh, &uniforms, w, h, ch);
+                for engine in ENGINES {
+                    for threads in [1usize, 2, 4, 8] {
+                        assert_eq!(
+                            planned_bytes(
+                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut plan,
+                            ),
+                            scalar,
+                            "{w}x{h}x{ch} {engine:?} at {threads} threads"
+                        );
+                    }
+                }
+            }
         }
-        assert_eq!(data, full);
+    }
+
+    #[test]
+    fn band_draws_reassemble_the_full_image() {
+        let (sh, uniforms) = branchy();
+        let shader = Arc::new(sh.clone());
+        let mut pool = None;
+        for &(w, h) in &[(31u32, 23u32), (31, 46), (64, 64)] {
+            let full = reference_bytes(&sh, &uniforms, w, h, 4);
+            for engine in ENGINES {
+                for bands in [2u32, 3, 7] {
+                    let mut plan =
+                        DrawPlan::build(&shader, &uniforms, engine, &[texcoord_corners()], w, None)
+                            .unwrap();
+                    let mut data = vec![0u8; w as usize * h as usize * 4];
+                    let rows_per = h.div_ceil(bands);
+                    let mut y0 = 0;
+                    while y0 < h {
+                        let y1 = (y0 + rows_per).min(h);
+                        execute_plan(
+                            &mut plan,
+                            &[],
+                            target(w, h, 4, &mut data),
+                            y0,
+                            y1,
+                            3,
+                            &mut pool,
+                        )
+                        .unwrap();
+                        y0 = y1;
+                    }
+                    assert_eq!(data, full, "{w}x{h} {engine:?} in {bands} bands");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_outside_target_errors() {
+        let sh = Arc::new(compile("void main() { gl_FragColor = vec4(1.0); }").unwrap());
+        for engine in ENGINES {
+            let mut plan =
+                DrawPlan::build(&sh, &UniformValues::new(), engine, &[], 4, None).unwrap();
+            let mut data = vec![0u8; 4 * 4 * 4];
+            let r = execute_plan(
+                &mut plan,
+                &[],
+                target(4, 4, 4, &mut data),
+                2,
+                9,
+                1,
+                &mut None,
+            );
+            assert!(
+                r.unwrap_err().to_string().contains("row band"),
+                "{engine:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn undersized_target_buffer_errors() {
+        let sh = Arc::new(compile("void main() { gl_FragColor = vec4(1.0); }").unwrap());
+        for engine in ENGINES {
+            let mut plan =
+                DrawPlan::build(&sh, &UniformValues::new(), engine, &[], 2, None).unwrap();
+            let mut data = vec![0u8; 7];
+            let r = execute_plan(
+                &mut plan,
+                &[],
+                target(2, 2, 4, &mut data),
+                0,
+                2,
+                1,
+                &mut None,
+            );
+            assert!(
+                r.unwrap_err().to_string().contains("needs 16"),
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]
@@ -1616,41 +1052,19 @@ mod tests {
         // boundaries than a full row, so this pins the lane-independence
         // property tile skipping rests on — for every engine, on
         // non-divisible tile grids.
-        let sh = compile(
-            "uniform float scale;\nvarying vec2 v;\n\
-             void main() {\n\
-               float a = v.x * scale + v.y;\n\
-               if (a < 1.0) { a = sqrt(a + 1.0); } else { a = a * 0.25; }\n\
-               gl_FragColor = vec4(a, fract(a * 9.0), v.x * v.y, 1.0);\n\
-             }",
-        )
-        .unwrap();
-        let mut uniforms = UniformValues::new();
-        uniforms.set_scalar("scale", 3.7);
+        let (sh, uniforms) = branchy();
         let shader = Arc::new(sh);
         let (w, h) = (100u32, 70u32);
-        for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
-            let mut plan = DrawPlan::build(
-                &shader,
-                &uniforms,
-                engine,
-                engine != Engine::Scalar,
-                &[texcoord_corners()],
-                w,
-                None,
-            )
-            .unwrap();
+        for engine in ENGINES {
+            let mut plan =
+                DrawPlan::build(&shader, &uniforms, engine, &[texcoord_corners()], w, None)
+                    .unwrap();
             let mut full = vec![0u8; w as usize * h as usize * 4];
             let mut pool = None;
             execute_plan(
                 &mut plan,
                 &[],
-                RasterTarget {
-                    width: w,
-                    height: h,
-                    channels: 4,
-                    data: &mut full,
-                },
+                target(w, h, 4, &mut full),
                 0,
                 h,
                 4,
@@ -1693,7 +1107,6 @@ mod tests {
             &shader,
             &UniformValues::new(),
             Engine::Scalar,
-            false,
             &[texcoord_corners()],
             64,
             None,
@@ -1710,7 +1123,6 @@ mod tests {
             &shader,
             &UniformValues::new(),
             Engine::Scalar,
-            false,
             &[other],
             64,
             None,
@@ -1722,6 +1134,15 @@ mod tests {
         );
     }
 
+    /// A sampler that panics on fetch: kernel panics must surface as
+    /// `ExecError`, never as an unwind out of the rasteriser.
+    struct PanicSampler;
+    impl Sampler for PanicSampler {
+        fn fetch(&self, _u: f32, _v: f32) -> [f32; 4] {
+            panic!("sampler exploded")
+        }
+    }
+
     #[test]
     fn planned_panic_becomes_an_error_and_pool_survives() {
         let sh = compile(
@@ -1729,70 +1150,56 @@ mod tests {
              void main() { gl_FragColor = texture2D(t, v); }",
         )
         .unwrap();
-        let shader = Arc::new(sh.clone());
-        let mut plan = DrawPlan::build(
-            &shader,
-            &UniformValues::new(),
-            Engine::Scalar,
-            false,
-            &[texcoord_corners()],
-            32,
-            None,
-        )
-        .unwrap();
-        let mut pool = None;
-        let mut data = vec![0u8; 32 * 32 * 4];
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let r = execute_plan(
-            &mut plan,
-            &[&PanicSampler],
-            RasterTarget {
-                width: 32,
-                height: 32,
-                channels: 4,
-                data: &mut data,
-            },
-            0,
-            32,
-            4,
-            &mut pool,
-        );
-        std::panic::set_hook(prev);
-        let e = r.unwrap_err();
-        assert!(e.to_string().contains("sampler exploded"), "{e}");
-
-        // The pool and plan both stay usable after a panicked draw.
+        let shader = Arc::new(sh);
         let ok =
             compile("varying vec2 v; void main() { gl_FragColor = vec4(v, 0.0, 1.0); }").unwrap();
-        let mut plan = None;
-        let bytes = planned_bytes(
-            &ok,
-            &UniformValues::new(),
-            32,
-            32,
-            4,
-            Engine::Scalar,
-            4,
-            &mut pool,
-            &mut plan,
-        );
-        let mut serial = vec![0u8; 32 * 32 * 4];
-        rasterize_quad_into(
-            &ok,
-            &UniformValues::new(),
-            &[],
-            &[texcoord_corners()],
-            RasterTarget {
-                width: 32,
-                height: 32,
-                channels: 4,
-                data: &mut serial,
-            },
-            &ExecConfig::serial(),
-        )
-        .unwrap();
-        assert_eq!(bytes, serial);
+        let serial = reference_bytes(&ok, &UniformValues::new(), 32, 32, 4);
+        let mut pool = None;
+        for engine in ENGINES {
+            let mut plan = DrawPlan::build(
+                &shader,
+                &UniformValues::new(),
+                engine,
+                &[texcoord_corners()],
+                32,
+                None,
+            )
+            .unwrap();
+            let mut data = vec![0u8; 32 * 32 * 4];
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {})); // silence expected panics
+            let r = execute_plan(
+                &mut plan,
+                &[&PanicSampler],
+                target(32, 32, 4, &mut data),
+                0,
+                32,
+                4,
+                &mut pool,
+            );
+            std::panic::set_hook(prev);
+            let e = r.unwrap_err();
+            assert!(
+                e.to_string().contains("sampler exploded"),
+                "{engine:?}: {e}"
+            );
+
+            // The pool and the plan's seats both stay usable after a
+            // panicked draw.
+            let mut recycled = Some(plan);
+            let bytes = planned_bytes(
+                &ok,
+                &UniformValues::new(),
+                32,
+                32,
+                4,
+                engine,
+                4,
+                &mut pool,
+                &mut recycled,
+            );
+            assert_eq!(bytes, serial, "{engine:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! [`TileSigCache`] keys cached tile outputs by the drawing program's
 //! handle plus the [plan cache](crate::plan_cache)'s draw-plan key
-//! (shader id, uniform hash, engine, spec, target geometry, corners),
+//! (shader id, uniform hash, engine, target geometry, corners),
 //! refined to one entry per platform tile rect. Each entry carries a
 //! 128-bit *input signature* covering everything the tile's fragments
 //! can observe:
@@ -34,14 +34,15 @@
 //! ## Invalidation
 //!
 //! Like the plan cache, most state changes invalidate *by keying*: a new
-//! uniform value, engine tier, spec mode or corner set simply misses. The
+//! uniform value, engine tier or corner set simply misses. The
 //! render-target's identity is deliberately **not** part of the key — a
 //! ping-pong pipeline alternates two textures while shading identical
 //! bytes, and replaying them into either target is exact because every
 //! covered pixel is overwritten. Content changes invalidate by *signature*:
 //! any texture write (upload, copy, draw write-back, injected corruption)
 //! changes the sampled-region digest and forces a re-shade. Context loss,
-//! recreation and engine/spec reconfiguration flush the cache outright.
+//! recreation, an engine switch and turning skipping off flush the cache
+//! outright.
 //!
 //! Capacity is bounded by entry count and held bytes, FIFO with
 //! reinsertion-on-hit (approximate LRU), mirroring the plan cache.
@@ -85,8 +86,8 @@ pub(crate) struct TileKey {
     /// tiles, so whether a draw's tiles replay — which changes its
     /// simulated time — depends only on its own program's earlier draws.
     pub program: u32,
-    /// The draw-plan identity (shader id, uniform hash, engine, spec,
-    /// target geometry, corners). Note the *render target* is absent:
+    /// The draw-plan identity (shader id, uniform hash, engine, target
+    /// geometry, corners). Note the *render target* is absent:
     /// ping-pong passes share entries on purpose.
     pub plan: PlanKey,
     /// Clipped tile rect, `x0..x1` × `y0..y1` in target pixels.
@@ -279,7 +280,7 @@ pub struct TileSkipStats {
     /// Tiles that had to shade (absent or signature-mismatched entries).
     pub misses: u64,
     /// Entries dropped because their inputs changed (signature mismatch)
-    /// or the cache was flushed (context loss, engine/spec switch).
+    /// or the cache was flushed (context loss, engine switch).
     pub invalidations: u64,
     /// Total output bytes served from cache.
     pub bytes_replayed: u64,
@@ -392,7 +393,7 @@ impl TileSigCache {
     }
 
     /// Drops every cached tile, counting each as an invalidation (context
-    /// loss/recreation, engine or spec reconfiguration, skip disable).
+    /// loss/recreation, engine switch, skip disable).
     pub(crate) fn flush(&mut self) {
         self.invalidations += self.tiles.len() as u64;
         self.tiles.clear();
@@ -439,7 +440,6 @@ mod tests {
             shader: 1,
             uniform_hash: 0,
             engine: Engine::Scalar,
-            spec: false,
             width: 64,
             height: 64,
             channels: 4,

@@ -409,10 +409,17 @@ fn deleted_texture_unbinds_and_errors() {
     assert!(gl.draw_quad(&DrawQuad::fullscreen()).is_err());
 }
 
+/// The timing-only contract is defined against skip-off timing: a
+/// functional context with tile skipping on replays unchanged tiles and
+/// charges them signature reads instead of shading, but a timing-only
+/// context has no bytes to sign, so it always prices full shading. The
+/// config is pinned skip-off so `MGPU_TILE_SKIP=on` runs test the
+/// contract rather than that difference.
 #[test]
 fn non_functional_mode_matches_functional_timing() {
     let run = |functional: bool| {
         let mut gl = gl(32, 32);
+        gl.set_exec_config(gl.exec_config().with_tile_skip(false));
         gl.set_functional(functional);
         let prog = gl.create_program(COORD_PROG).unwrap();
         gl.use_program(Some(prog)).unwrap();

@@ -20,7 +20,7 @@ fn invalid_engine_value_fails_context_creation() {
     let msg = err.to_string();
     assert!(msg.contains("MGPU_ENGINE"), "{msg}");
     assert!(
-        msg.contains("scalar") && msg.contains("batched") && msg.contains("compiled"),
+        msg.contains("scalar") && msg.contains("compiled"),
         "the error must teach the grammar: {msg}"
     );
 

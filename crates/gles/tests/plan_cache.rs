@@ -8,9 +8,9 @@
 //! correctly. The shader enters the key as the id the context's shader
 //! memo assigned at link time, so the memo's contract — faults before
 //! lookups, bounded FIFO, ids never reused — is pinned here too. A
-//! scripted mutation sequence is replayed under cache-on, cache-off and
-//! legacy-dispatch configurations and must be byte-identical throughout,
-//! with the simulated-time report unchanged.
+//! scripted mutation sequence is replayed with the cache on and off, on
+//! one and several threads, and must be byte-identical throughout, with
+//! the simulated-time report unchanged.
 
 use mgpu_gles::raster::texcoord_corners;
 use mgpu_gles::{
@@ -32,10 +32,10 @@ const SAMPLE_PROG: &str = "
     void main() { gl_FragColor = texture2D(u_t, v_coord); }
 ";
 
-/// A pooled, plan-cached 8×8 context at 2 threads.
+/// A plan-cached 8×8 context at 2 threads.
 fn cached_gl() -> Gl {
     let mut gl = Gl::new(Platform::videocore_iv(), 8, 8);
-    gl.set_exec_config(ExecConfig::with_threads(2).with_pool(true));
+    gl.set_exec_config(ExecConfig::with_threads(2));
     gl.set_plan_cache_enabled(true);
     gl
 }
@@ -191,11 +191,7 @@ fn memo_eviction_relinks_under_a_fresh_id() {
 fn twin_programs_keep_separate_tile_entries() {
     // SGX tiles are 16×16, so a 32×32 draw covers four.
     let mut gl = Gl::new(Platform::sgx_545(), 32, 32);
-    gl.set_exec_config(
-        ExecConfig::with_threads(2)
-            .with_pool(true)
-            .with_tile_skip(true),
-    );
+    gl.set_exec_config(ExecConfig::with_threads(2).with_tile_skip(true));
     gl.set_plan_cache_enabled(true);
     let mut shots = Vec::new();
     for _ in 0..2 {
@@ -214,28 +210,19 @@ fn twin_programs_keep_separate_tile_entries() {
 #[test]
 fn engine_target_and_corners_each_rekey() {
     let mut gl = cached_gl();
+    gl.set_exec_config(ExecConfig::with_threads(2).with_engine(Engine::Scalar));
     let prog = gl.create_program(SCALE_PROG).expect("compiles");
     gl.use_program(Some(prog)).expect("uses");
     gl.set_uniform_scalar(prog, "u_k", 1.0).expect("sets");
     let golden = draw(&mut gl);
 
     // Engine tier is part of the key; output must not change. (The
-    // golden draw above ran on the default batched tier, so scalar and
-    // compiled each add a fresh miss.)
-    gl.set_exec_config(
-        ExecConfig::with_threads(2)
-            .with_pool(true)
-            .with_engine(Engine::Scalar),
-    );
-    assert_eq!(draw(&mut gl), golden);
-    gl.set_exec_config(
-        ExecConfig::with_threads(2)
-            .with_pool(true)
-            .with_engine(Engine::Compiled),
-    );
+    // golden draw above ran on the scalar tier, so compiled adds a fresh
+    // miss.)
+    gl.set_exec_config(ExecConfig::with_threads(2).with_engine(Engine::Compiled));
     assert_eq!(draw(&mut gl), golden);
     let after_engines = gl.plan_cache_stats();
-    assert!(after_engines.misses >= 3, "engine change must re-key");
+    assert_eq!(after_engines.misses, 2, "engine change must re-key");
 
     // Target geometry: rendering into a 4×4 FBO texture re-keys.
     let tex = gl.create_texture();
@@ -431,15 +418,11 @@ fn churn_at_the_capacity_boundary_has_exact_counters() {
 fn run_script(
     platform: &Platform,
     engine: Engine,
-    pool: bool,
+    threads: usize,
     cache: bool,
 ) -> (Vec<Vec<u8>>, mgpu_tbdr::SimReport) {
     let mut gl = Gl::new(platform.clone(), 8, 8);
-    gl.set_exec_config(
-        ExecConfig::with_threads(3)
-            .with_engine(engine)
-            .with_pool(pool),
-    );
+    gl.set_exec_config(ExecConfig::with_threads(threads).with_engine(engine));
     gl.set_plan_cache_enabled(cache);
     let mut shots = Vec::new();
 
@@ -485,27 +468,23 @@ fn run_script(
     (shots, gl.report())
 }
 
-/// The headline property: for every platform × engine, the cached pooled
+/// The headline property: for every platform × engine, the cached
 /// dispatcher replays the whole mutation script byte-for-byte like the
-/// uncached pooled path *and* the legacy scope-spawn path, with identical
-/// simulated-time reports.
+/// uncached one, on one thread and on three, with identical
+/// simulated-time reports — all equal to the serial scalar reference.
 #[test]
 fn cache_is_invisible_across_the_mutation_script() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
-            let legacy = run_script(&platform, engine, false, false);
-            let pooled = run_script(&platform, engine, true, false);
-            let cached = run_script(&platform, engine, true, true);
-            assert_eq!(
-                pooled, legacy,
-                "pooled dispatch diverged ({engine:?} on {})",
-                platform.name
-            );
-            assert_eq!(
-                cached, legacy,
-                "plan cache changed output ({engine:?} on {})",
-                platform.name
-            );
+        let reference = run_script(&platform, Engine::Scalar, 1, false);
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            for (threads, cache) in [(1, false), (1, true), (3, false), (3, true)] {
+                assert_eq!(
+                    run_script(&platform, engine, threads, cache),
+                    reference,
+                    "{engine:?} at {threads} threads, cache={cache} diverged on {}",
+                    platform.name
+                );
+            }
         }
     }
 }

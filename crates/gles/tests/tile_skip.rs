@@ -207,13 +207,13 @@ fn engine_switch_and_recreate_flush_the_cache() {
     draw(&mut gl);
     assert_eq!(counters(&gl), (4, 4, 0, 4 * TILE_BYTES, 4));
 
-    // Switching the fragment engine (serial() pins Scalar, so Batched is
-    // a real switch) flushes: engine is part of the plan key anyway, but
-    // stale entries must not pin memory. The switch must not change
+    // Switching the fragment engine (serial() pins Scalar, so Compiled
+    // is a real switch) flushes: engine is part of the plan key anyway,
+    // but stale entries must not pin memory. The switch must not change
     // pixels.
     gl.set_exec_config(
         ExecConfig::serial()
-            .with_engine(Engine::Batched)
+            .with_engine(Engine::Compiled)
             .with_tile_skip(true),
     );
     assert_eq!(gl.tile_skip_stats().entries, 0, "engine switch flushes");
@@ -273,13 +273,12 @@ fn skip_off_contexts_never_record_stats() {
 }
 
 /// Replays a mutation script and snapshots every draw, at one skip
-/// setting and dispatcher.
-fn run_script(platform: &Platform, engine: Engine, pool: bool, skip: bool) -> Vec<Vec<u8>> {
+/// setting and thread count.
+fn run_script(platform: &Platform, engine: Engine, threads: usize, skip: bool) -> Vec<Vec<u8>> {
     let mut gl = Gl::new(platform.clone(), 32, 32);
     gl.set_exec_config(
-        ExecConfig::with_threads(3)
+        ExecConfig::with_threads(threads)
             .with_engine(engine)
-            .with_pool(pool)
             .with_tile_skip(skip),
     );
     let mut shots = Vec::new();
@@ -327,21 +326,21 @@ fn run_script(platform: &Platform, engine: Engine, pool: bool, skip: bool) -> Ve
     shots
 }
 
-/// The headline property: for every platform × engine × dispatcher, the
-/// skipping run replays the whole mutation script byte-for-byte like the
-/// skip-off run. (Simulated reports legitimately differ — that is the
+/// The headline property: for every platform × engine × thread count,
+/// the skipping run replays the whole mutation script byte-for-byte like
+/// the skip-off run. (Simulated reports legitimately differ — that is the
 /// optimisation — so only pixels are compared here; report grouping is
 /// the conformance oracle's job.)
 #[test]
 fn skip_is_pixel_invisible_across_the_mutation_script() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
-            for pool in [false, true] {
-                let plain = run_script(&platform, engine, pool, false);
-                let skipping = run_script(&platform, engine, pool, true);
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            for threads in [1, 3] {
+                let plain = run_script(&platform, engine, threads, false);
+                let skipping = run_script(&platform, engine, threads, true);
                 assert_eq!(
                     skipping, plain,
-                    "tile skip changed pixels ({engine:?}, pool={pool} on {})",
+                    "tile skip changed pixels ({engine:?}, {threads} threads on {})",
                     platform.name
                 );
             }

@@ -73,19 +73,10 @@ pub struct OptConfig {
     /// identical for every value.
     pub threads: Option<usize>,
     /// Fragment-engine tier for functional execution (`None` keeps the
-    /// context's setting — `MGPU_ENGINE` or the batched default). Like
-    /// `threads`, purely a wall-clock knob: both engines are bit-exact.
+    /// context's setting — `MGPU_ENGINE` or the compiled default; the
+    /// scalar tier is the reference). Like `threads`, purely a
+    /// wall-clock knob: both engines are bit-exact.
     pub engine: Option<Engine>,
-    /// Pooled dispatch with draw-plan caching vs the legacy per-draw
-    /// `thread::scope` path (`None` keeps the context's setting —
-    /// `MGPU_POOL` or pooled by default). Like `threads`, purely a
-    /// wall-clock knob: both dispatchers are bit-exact.
-    pub pool: Option<bool>,
-    /// Bind-time uniform specialisation on the batched tier (`None` keeps
-    /// the context's setting — `MGPU_SPEC` or on by default). Like
-    /// `threads`, purely a wall-clock knob: spec-on and spec-off are
-    /// bit-exact.
-    pub spec: Option<bool>,
     /// Tile-signature redundancy elimination (`None` keeps the context's
     /// setting — `MGPU_TILE_SKIP` or off by default). Bit-exact like the
     /// other execution knobs, but **not** timing-neutral: skipped tiles
@@ -110,8 +101,6 @@ impl OptConfig {
             mad_fusion: true,
             threads: None,
             engine: None,
-            pool: None,
-            spec: None,
             tile_skip: None,
         }
     }
@@ -191,22 +180,6 @@ impl OptConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Pins the dispatcher: pooled + plan-cached (`true`) or the legacy
-    /// per-draw scope-spawn path (`false`).
-    #[must_use]
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Pins bind-time uniform specialisation on (`true`) or off (`false`)
-    /// for the batched tier.
-    #[must_use]
-    pub fn with_specialization(mut self, spec: bool) -> Self {
-        self.spec = Some(spec);
         self
     }
 

@@ -116,12 +116,7 @@ pub(crate) fn apply_setup(gl: &mut Gl, cfg: &OptConfig) {
         SyncStrategy::SwapInterval0 => gl.swap_interval(0),
         SyncStrategy::NoSwap => {}
     }
-    if cfg.threads.is_some()
-        || cfg.engine.is_some()
-        || cfg.pool.is_some()
-        || cfg.spec.is_some()
-        || cfg.tile_skip.is_some()
-    {
+    if cfg.threads.is_some() || cfg.engine.is_some() || cfg.tile_skip.is_some() {
         // Compose onto the context's current configuration so pinning one
         // knob never clobbers the others.
         let mut exec = gl.exec_config();
@@ -130,12 +125,6 @@ pub(crate) fn apply_setup(gl: &mut Gl, cfg: &OptConfig) {
         }
         if let Some(engine) = cfg.engine {
             exec = exec.with_engine(engine);
-        }
-        if let Some(pool) = cfg.pool {
-            exec = exec.with_pool(pool);
-        }
-        if let Some(spec) = cfg.spec {
-            exec = exec.with_specialization(spec);
         }
         if let Some(tile_skip) = cfg.tile_skip {
             exec = exec.with_tile_skip(tile_skip);

@@ -1,7 +1,7 @@
 //! Differential coverage for the operators the config-space sweep in
 //! `correctness.rs` exercises on only one engine or platform: every op
-//! runs under scalar, batched and compiled fragment execution (with
-//! specialisation on and off) on both paper platforms, and
+//! runs under scalar and compiled fragment execution on both paper
+//! platforms, and
 //!
 //! 1. all engine variants must agree **bit-exactly** (the engines'
 //!    equivalence contract — any drift is an engine bug, not float noise);
@@ -18,31 +18,13 @@ use mgpu_workloads::{
     reduce_sum_ref, saxpy_ref, transpose_ref,
 };
 
-/// The engine variants every op must agree across: scalar, batched with
-/// bind-time uniform specialisation, batched resolving uniforms at
-/// seat-bind time, and the compiled closure-chain tier (with and without
-/// specialisation, which gates most of its fusion rules).
+/// The engine variants every op must agree across: the scalar reference
+/// and the compiled closure-chain tier.
 fn engine_variants() -> Vec<(&'static str, OptConfig)> {
     let base = OptConfig::baseline().without_swap();
     vec![
         ("scalar", base.with_engine(Engine::Scalar)),
-        (
-            "batched+spec",
-            base.with_engine(Engine::Batched).with_specialization(true),
-        ),
-        (
-            "batched-spec",
-            base.with_engine(Engine::Batched).with_specialization(false),
-        ),
-        (
-            "compiled+spec",
-            base.with_engine(Engine::Compiled).with_specialization(true),
-        ),
-        (
-            "compiled-spec",
-            base.with_engine(Engine::Compiled)
-                .with_specialization(false),
-        ),
+        ("compiled", base.with_engine(Engine::Compiled)),
     ]
 }
 

@@ -1,15 +1,13 @@
 //! Ahead-of-time lowering of straight-line IR into fused native closures.
 //!
-//! [`CompiledProgram`] is the third tier of the fragment engine: where the
-//! scalar [`Executor`](crate::Executor) decodes one instruction per
-//! fragment and the SoA [`BatchExecutor`](crate::BatchExecutor) decodes
-//! one instruction per [`LANES`]-wide batch, the compiled tier decodes
-//! each instruction **once, at bind time**, lowering the (already
-//! unrolled, already inlined, possibly uniform-specialised) straight-line
-//! IR into a chain of monomorphised Rust closures over a flat
-//! single-assignment plane file. Running a batch is then a plain walk of
-//! that chain — no opcode dispatch, no per-instruction scratch, no
-//! register copy-back.
+//! [`CompiledProgram`] is the throughput tier of the fragment engine:
+//! where the scalar [`Executor`](crate::Executor) decodes one instruction
+//! per fragment, the compiled tier decodes each instruction **once, at
+//! bind time**, lowering the (already unrolled, already inlined)
+//! straight-line IR into a chain of monomorphised Rust closures over a
+//! flat single-assignment plane file. Running a batch of up to [`LANES`]
+//! fragments is then a plain walk of that chain — no opcode dispatch, no
+//! per-instruction scratch, no register copy-back.
 //!
 //! Lowering rules, in order:
 //!
@@ -19,8 +17,7 @@
 //!    Because the IR is straight-line, every source slot of a step is
 //!    strictly smaller than its destination slot, so each step can split
 //!    the plane file once (`split_at_mut`) and write its output planes
-//!    directly — the per-instruction zero-initialise + copy-back the batch
-//!    interpreter pays (4 KiB per instruction per batch) disappears.
+//!    directly, with no per-instruction zero-initialise or copy-back.
 //!    Registers that are never written read from the zero slot, exactly
 //!    like the scalar tier's zero-initialised register file.
 //! 2. **Constant folding into planes.** Uniforms and `Const` results are
@@ -28,8 +25,9 @@
 //!    instruction whose sources are all constant is evaluated once at
 //!    build (through the reference `eval_pure_op`, so folding is bitwise
 //!    exact) and becomes a constant plane itself — no runtime step at
-//!    all. With bind-time specialisation off this recovers the same
-//!    constant coordinate math specialisation would have folded.
+//!    all. This recovers the constant coordinate math that
+//!    [`specialize`](crate::specialize) would fold, so draws lower the
+//!    original shader.
 //! 3. **Select mask pruning.** A `Select` whose mask is constant keeps
 //!    only the taken branch: it lowers to plane copies of that branch.
 //! 4. **MAD-chain fusion.** A run of consecutive scalar `Mad`s, each
@@ -55,24 +53,33 @@
 //!    exactly the scalar tier's, so the fusion is bitwise invisible; a
 //!    chain whose shape ultimately does not match is *materialised* — the
 //!    deferred steps are emitted individually — so partial matches fall
-//!    back to the unfused lowering instead of miscompiling.
+//!    back to the unfused lowering instead of miscompiling. Fused chains
+//!    with the same weights share one dot-unpack table per build.
 //!
-//! The contract is the same strict bit-identity the batch tier holds (see
-//! [`crate::BatchExecutor`]): for every lane, every step evaluates
-//! exactly the f32 expressions of the scalar reference — same broadcast
-//! rules, same accumulation order, same `mul24` truncation — with the one
-//! NaN-*payload* carve-out shared by all tiers. The differential tests in
-//! this module and the conformance lattice in `crates/conformance` hold
-//! the three tiers against each other.
+//! The contract is strict bit-identity with the scalar reference: for
+//! every lane, every step evaluates exactly the f32 expressions of
+//! `eval_pure_op` — same broadcast rules, same accumulation order, same
+//! `mul24` truncation. The one IEEE 754 carve-out is NaN *payloads*: when
+//! two different NaN bit patterns meet in one operation the propagated
+//! payload is unspecified and codegen may commute the operands, so the two
+//! tiers can surface different (equally valid) NaN payloads. NaN-ness
+//! itself is deterministic, and the rasteriser's quantisation maps every
+//! NaN to the same byte, so pipeline output stays byte-identical. The
+//! differential tests in this module, the random-kernel properties in
+//! `tests/compiled.rs` and the conformance lattice in `crates/conformance`
+//! hold the two tiers against each other.
 
-use crate::batch::LANES;
 use crate::error::ExecError;
 use crate::ir::{CmpOp, InputKind, Op, Reg, Shader};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::vm::{
     eval_pure_op, register_widths, truncate_to_24bit, u8_to_unorm, Sampler, UniformValues,
 };
+
+/// Number of fragments evaluated per batch.
+pub const LANES: usize = 64;
 
 /// One component plane: the same slot component across all lanes.
 type Plane = [f32; LANES];
@@ -119,10 +126,9 @@ impl std::fmt::Debug for CompiledProgram {
 
 /// The mutable per-worker state of the compiled tier: a plane file cloned
 /// from the program's constant-initialised template, plus fetch staging.
-/// The counterpart of [`ExecCore`](crate::ExecCore) /
-/// [`BatchCore`](crate::BatchCore) for long-lived seat caches: rebind it
-/// to a different program with [`CompiledCore::rebind`] to reuse its
-/// allocation.
+/// The counterpart of [`ExecCore`](crate::ExecCore) for long-lived seat
+/// caches: rebind it to a different program with
+/// [`CompiledCore::rebind`] to reuse its allocation.
 #[derive(Debug)]
 pub struct CompiledCore {
     planes: Vec<Plane>,
@@ -210,6 +216,26 @@ struct FetchDotRec {
     weff: [f32; 4],
     nc: usize,
     tables: Arc<[[f32; 256]; 4]>,
+}
+
+/// Dot-unpack tables of one build, keyed by component count and the
+/// weights' bit patterns.
+type DotTables = HashMap<(usize, [u32; 4]), Arc<[[f32; 256]; 4]>>;
+
+/// The table pre-composing `u8_to_unorm(byte) * weff[c]` for the first
+/// `nc` components, shared by every fused fetch→dot with the same
+/// weights in this build.
+fn dot_table(memo: &mut DotTables, weff: [f32; 4], nc: usize) -> Arc<[[f32; 256]; 4]> {
+    let key: [u32; 4] = std::array::from_fn(|c| if c < nc { weff[c].to_bits() } else { 0 });
+    Arc::clone(memo.entry((nc, key)).or_insert_with(|| {
+        let mut tables = [[0.0f32; 256]; 4];
+        for (t, w) in tables.iter_mut().zip(weff).take(nc) {
+            for (byte, slot) in t.iter_mut().enumerate() {
+                *slot = u8_to_unorm(byte as u8) * w;
+            }
+        }
+        Arc::new(tables)
+    }))
 }
 
 /// A value whose producing step has been deferred in the hope of fusing
@@ -337,6 +363,8 @@ impl CompiledProgram {
 
         let mut steps: Vec<Step> = Vec::new();
         let instrs = &shader.instrs;
+        // Every fetch of one encoding unpacks with the same weights.
+        let mut dot_tables = HashMap::new();
 
         // Rule 6 state: values deferred toward a fusing consumer.
         let mut deferred: Vec<Option<Deferred>> = (0..nregs).map(|_| None).collect();
@@ -545,18 +573,12 @@ impl CompiledProgram {
                             );
                         let weff: [f32; 4] =
                             std::array::from_fn(|c| if w_w == 1 { wv[0] } else { wv[c] });
-                        let mut tables = [[0.0f32; 256]; 4];
-                        for (t, w) in tables.iter_mut().zip(weff).take(nc) {
-                            for (byte, slot) in t.iter_mut().enumerate() {
-                                *slot = u8_to_unorm(byte as u8) * w;
-                            }
-                        }
                         let fd = FetchDotRec {
                             fetch: rec,
                             widx,
                             weff,
                             nc,
-                            tables: Arc::new(tables),
+                            tables: dot_table(&mut dot_tables, weff, nc),
                         };
                         let affine = sole_consumer(i + 1, instr.dst).is_some_and(|j| {
                             let m = &instrs[j];
@@ -905,10 +927,11 @@ impl CompiledProgram {
     /// on `core` (which must have been built for — or last rebound to —
     /// this program).
     ///
-    /// The calling convention matches [`BatchCore::run`](crate::BatchCore):
-    /// `varyings` is slot-major with stride [`LANES`], `samplers` supplies
-    /// one implementation per texture unit, and lane `l`'s colour lands in
-    /// `out[l]`.
+    /// `varyings` is slot-major with stride [`LANES`]: the value of
+    /// varying slot `s` for lane `l` lives at `varyings[s * LANES + l]`.
+    /// `samplers` supplies one implementation per texture unit, and lane
+    /// `l`'s colour lands in `out[l]`. Tail lanes of a partial batch may
+    /// hold anything; they are never read back.
     ///
     /// # Errors
     ///

@@ -47,7 +47,6 @@
 #![warn(clippy::expect_used)]
 
 pub mod ast;
-mod batch;
 pub mod compile;
 pub mod cost;
 mod error;
@@ -64,8 +63,7 @@ pub mod ir;
 mod token;
 mod vm;
 
-pub use batch::{BatchCore, BatchExecutor, LANES};
-pub use compile::{CompiledCore, CompiledProgram};
+pub use compile::{CompiledCore, CompiledProgram, LANES};
 pub use error::{render_error, CompileError, CompileErrorKind, ExecError};
 pub use fold::{const_eval, ConstVal};
 pub use limits::{check_limits, Limits};

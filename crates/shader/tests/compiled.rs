@@ -1,6 +1,6 @@
-//! Property tests: the lane-batched SoA engine is bit-identical to the
-//! scalar reference interpreter, and bind-time specialisation preserves
-//! kernel semantics exactly.
+//! Property tests: the compiled closure-chain engine is bit-identical to
+//! the scalar reference interpreter, and bind-time specialisation
+//! preserves kernel semantics exactly.
 //!
 //! Cases are generated with the deterministic `mgpu-prop` runner, so every
 //! run explores the same inputs. Varyings deliberately include NaN and
@@ -9,7 +9,7 @@
 //! Comparisons are bitwise except for NaN payloads: when two *different*
 //! NaN bit patterns meet in one operation, IEEE 754 leaves the propagated
 //! payload unspecified and codegen may commute the operands, so scalar and
-//! batched evaluation can surface different (equally valid) NaN payloads.
+//! compiled evaluation can surface different (equally valid) NaN payloads.
 //! NaN-*ness* itself is deterministic, every non-NaN value must match to
 //! the bit, and the quantised pipeline output is byte-identical regardless
 //! (all NaNs quantise to the same byte).
@@ -17,12 +17,13 @@
 use mgpu_prop::{run_cases, Rng};
 use mgpu_shader::ir::Shader;
 use mgpu_shader::{
-    compile, specialize, BatchExecutor, Executor, ImageSampler, Sampler, UniformValues, LANES,
+    compile, specialize, CompiledCore, CompiledProgram, Executor, ImageSampler, Sampler,
+    UniformValues, LANES,
 };
 
 /// A random expression over the varyings `v.x`/`v.y`, the uniforms
 /// `k`/`q`, and literals, covering the arithmetic, comparison and
-/// selection operators the batch engine lane-vectorises.
+/// selection operators the compiled engine lowers lane by lane.
 #[derive(Debug, Clone)]
 enum Node {
     X,
@@ -157,7 +158,7 @@ fn random_uniforms(rng: &mut Rng) -> UniformValues {
 }
 
 /// Runs `shader` over `n` random fragments (one vec2 varying) on both the
-/// scalar and batched engines and asserts bitwise-identical colours.
+/// scalar and compiled engines and asserts bitwise-identical colours.
 fn assert_engines_agree(
     shader: &Shader,
     uniforms: &UniformValues,
@@ -169,18 +170,19 @@ fn assert_engines_agree(
     let frag_varyings: Vec<[f32; 4]> = (0..n)
         .map(|_| [awkward_f32(rng), awkward_f32(rng), 0.0, 0.0])
         .collect();
-    // Slot-major layout with stride LANES, as BatchExecutor::run expects
+    // Slot-major layout with stride LANES, as CompiledProgram::run expects
     // (these kernels use a single varying slot).
     let mut batch_varyings = vec![[0.0f32; 4]; LANES];
     batch_varyings[..n].copy_from_slice(&frag_varyings);
 
     let mut scalar = Executor::new(shader, uniforms).expect("scalar binds");
-    let mut batched = BatchExecutor::new(shader, uniforms).expect("batched binds");
+    let program = CompiledProgram::build(shader, uniforms).expect("compiled builds");
+    let mut core = CompiledCore::new(&program);
 
     let mut out = vec![[0.0f32; 4]; n];
-    batched
-        .run(&batch_varyings, n, samplers, &mut out)
-        .expect("batched runs");
+    program
+        .run(&mut core, &batch_varyings, n, samplers, &mut out)
+        .expect("compiled runs");
 
     for (l, v) in frag_varyings.iter().enumerate() {
         let want = scalar.run(&[*v], samplers).expect("scalar runs");
@@ -193,11 +195,11 @@ fn assert_engines_agree(
     }
 }
 
-/// The batch engine computes bit-identical colours to the scalar reference
-/// across random kernels, random (sometimes non-finite) varyings, and
-/// partially-filled batches of every size from 1 to LANES.
+/// The compiled engine computes bit-identical colours to the scalar
+/// reference across random kernels, random (sometimes non-finite)
+/// varyings, and partially-filled batches of every size from 1 to LANES.
 #[test]
-fn batched_engine_matches_scalar_reference() {
+fn compiled_engine_matches_scalar_reference() {
     run_cases(192, |rng| {
         let expr = gen_node(rng, 4);
         let src = kernel_source(&expr);
@@ -214,11 +216,11 @@ fn batched_engine_matches_scalar_reference() {
     });
 }
 
-/// Same property through the texture path: batched `fetch_batch` sampling
+/// Same property through the texture path: compiled `fetch_batch` sampling
 /// (with its hoisted texel-scale factors) matches scalar `fetch` bitwise,
 /// including NaN and out-of-range coordinates.
 #[test]
-fn batched_texture_sampling_matches_scalar() {
+fn compiled_texture_sampling_matches_scalar() {
     run_cases(96, |rng| {
         let src = "
             uniform sampler2D tex;
@@ -242,8 +244,8 @@ fn batched_texture_sampling_matches_scalar() {
 }
 
 /// Bind-time specialisation folds uniforms without changing a single bit
-/// of output: the specialised kernel agrees with the original on both
-/// engines, for arbitrary expressions and non-finite varyings.
+/// of output: the specialised kernel agrees with the original, for
+/// arbitrary expressions and non-finite varyings.
 #[test]
 fn specialisation_preserves_bits_on_random_kernels() {
     run_cases(192, |rng| {

@@ -2,11 +2,11 @@
 //!
 //! The tentpole guarantee: host-side threading and the fragment-engine
 //! tier are *purely* wall-clock knobs. For `sum` and blocked `sgemm`
-//! (block 16) on both platforms, running at 2, 4 and 8 threads — and on
-//! the scalar reference engine, the lane-batched SoA engine, or the
-//! compiled closure-chain engine — must produce output buffers
-//! byte-for-byte identical to the serial scalar path, and the
-//! simulated-time report must not change by a single tick.
+//! (block 16) on both platforms, running at 1, 2, 4 and 8 threads — on
+//! the scalar reference engine or the compiled closure-chain engine —
+//! must produce output buffers byte-for-byte identical to the serial
+//! scalar path, and the simulated-time report must not change by a
+//! single tick.
 
 use mgpu::gpgpu::{Sgemm, Sum};
 use mgpu::tbdr::SimReport;
@@ -108,17 +108,17 @@ fn sgemm_block_16_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The batched SoA engine reproduces the serial scalar reference exactly —
-/// pixels, result bits and the simulated-time report — at 1 and 4 threads
-/// on both platforms, for both kernels. Together with the thread tests
-/// this pins the full engine × threads matrix to one golden output.
+/// Both engine tiers reproduce the serial scalar reference exactly —
+/// pixels, result bits and the simulated-time report — at 1, 2, 4 and 8
+/// threads on both platforms, for both kernels: one dispatcher, one
+/// golden output for the whole engine × threads matrix.
 #[test]
 fn engines_are_byte_identical_across_thread_counts() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
         let golden_sum = run_sum(&platform, ExecConfig::serial());
         let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
-        for threads in [1, 4] {
-            for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
+        for threads in [1, 2, 4, 8] {
+            for engine in [Engine::Scalar, Engine::Compiled] {
                 let exec = ExecConfig::with_threads(threads).with_engine(engine);
                 assert_eq!(
                     run_sum(&platform, exec),
@@ -137,48 +137,13 @@ fn engines_are_byte_identical_across_thread_counts() {
     }
 }
 
-/// The golden matrix for the persistent-pool dispatcher: pooled
-/// (work-stealing + plan cache) and legacy (per-draw scope-spawn)
-/// execution produce one identical `Golden` across every thread count,
-/// engine tier and platform. This is the PR's headline invariant — the
-/// dispatcher is purely a wall-clock knob.
-#[test]
-fn pooled_dispatch_matches_the_legacy_path_exactly() {
-    for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
-        let golden_sum = run_sum(&platform, ExecConfig::serial());
-        let golden_sgemm = run_sgemm(&platform, ExecConfig::serial());
-        for threads in [1, 2, 4, 8] {
-            for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
-                for pool in [false, true] {
-                    let exec = ExecConfig::with_threads(threads)
-                        .with_engine(engine)
-                        .with_pool(pool);
-                    assert_eq!(
-                        run_sum(&platform, exec),
-                        golden_sum,
-                        "sum diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
-                        platform.name
-                    );
-                    assert_eq!(
-                        run_sgemm(&platform, exec),
-                        golden_sgemm,
-                        "sgemm diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
-                        platform.name
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Tile-signature skipping (`MGPU_TILE_SKIP`) is byte-exact but — alone
 /// among the execution knobs — not timing-neutral: skipped tiles trade
 /// shading for signature traffic in the cost model. So the matrix splits
 /// in two: skip-on pixels and result bits must match the serial skip-off
 /// golden everywhere, while the skip-on *report*, which legitimately
-/// differs from skip-off, must itself be one golden across every
-/// dispatcher, engine tier and thread count — the skip decision is
-/// execution-invariant.
+/// differs from skip-off, must itself be one golden across every engine
+/// tier and thread count — the skip decision is execution-invariant.
 #[test]
 fn tile_skip_is_byte_identical_and_its_report_is_execution_invariant() {
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
@@ -192,26 +157,23 @@ fn tile_skip_is_byte_identical_and_its_report_is_execution_invariant() {
         assert_eq!(skip_sgemm.pixels, golden_sgemm.pixels);
         assert_eq!(skip_sgemm.result_bits, golden_sgemm.result_bits);
 
-        for threads in [1, 4] {
-            for engine in [Engine::Scalar, Engine::Batched, Engine::Compiled] {
-                for pool in [false, true] {
-                    let exec = ExecConfig::with_threads(threads)
-                        .with_engine(engine)
-                        .with_pool(pool)
-                        .with_tile_skip(true);
-                    assert_eq!(
-                        run_sum(&platform, exec),
-                        skip_sum,
-                        "skip-on sum diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
-                        platform.name
-                    );
-                    assert_eq!(
-                        run_sgemm(&platform, exec),
-                        skip_sgemm,
-                        "skip-on sgemm diverged (pool={pool}, {engine:?}, {threads} threads) on {}",
-                        platform.name
-                    );
-                }
+        for threads in [1, 2, 4, 8] {
+            for engine in [Engine::Scalar, Engine::Compiled] {
+                let exec = ExecConfig::with_threads(threads)
+                    .with_engine(engine)
+                    .with_tile_skip(true);
+                assert_eq!(
+                    run_sum(&platform, exec),
+                    skip_sum,
+                    "skip-on sum diverged ({engine:?}, {threads} threads) on {}",
+                    platform.name
+                );
+                assert_eq!(
+                    run_sgemm(&platform, exec),
+                    skip_sgemm,
+                    "skip-on sgemm diverged ({engine:?}, {threads} threads) on {}",
+                    platform.name
+                );
             }
         }
     }
