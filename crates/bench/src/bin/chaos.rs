@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use mgpu_bench::harness::{emit_bench_json, Stats};
+use mgpu_bench::harness::{emit_bench_json, parse_args, Stats};
 use mgpu_gles::{FaultPlan, Gl};
 use mgpu_gpgpu::{OptConfig, ResilienceConfig, ResilientRunner, SumJob};
 use mgpu_tbdr::Platform;
@@ -101,9 +101,8 @@ fn run_regime(platform: &Platform, n: u32, runs: usize, regime: &Regime) -> Outc
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: u32 = args.and_parse(32);
-    let runs: usize = args.and_parse(120);
+    let ([n, runs], _) = parse_args("chaos [n] [runs]", [32, 120], false);
+    let runs = runs as usize;
 
     println!("chaos: resilient sum({n}x{n}) x{ITERATIONS}, {runs} measured runs per regime");
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
@@ -141,16 +140,5 @@ fn main() {
                 &out.stats,
             );
         }
-    }
-}
-
-/// Tiny argv helper: parse the next argument or fall back.
-trait AndParse {
-    fn and_parse<T: std::str::FromStr>(&mut self, default: T) -> T;
-}
-
-impl AndParse for std::iter::Skip<std::env::Args> {
-    fn and_parse<T: std::str::FromStr>(&mut self, default: T) -> T {
-        self.next().and_then(|s| s.parse().ok()).unwrap_or(default)
     }
 }

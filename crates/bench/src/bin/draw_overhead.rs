@@ -28,7 +28,7 @@
 
 use std::time::{Duration, Instant};
 
-use mgpu_bench::harness::{emit_bench_json, Stats};
+use mgpu_bench::harness::{emit_bench_json, parse_args, Stats};
 use mgpu_gles::{ExecConfig, Gl};
 use mgpu_gpgpu::{OptConfig, Sgemm};
 use mgpu_tbdr::{Platform, SimTime};
@@ -165,12 +165,12 @@ fn speedup(cold: &Measurement, warm: &Measurement) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    let nums: Vec<usize> = args.iter().filter_map(|s| s.parse().ok()).collect();
-    let n = *nums.first().unwrap_or(&128) as u32;
-    let threads = *nums.get(1).unwrap_or(&4);
-    let reps = *nums.get(2).unwrap_or(&5);
+    let ([n, threads, reps], gate) = parse_args(
+        "draw_overhead [n] [threads] [reps] [--gate]",
+        [128, 4, 5],
+        true,
+    );
+    let (threads, reps) = (threads as usize, reps as usize);
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
 
     println!(

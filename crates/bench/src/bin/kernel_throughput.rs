@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use mgpu_bench::harness::{emit_bench_json, Stats};
+use mgpu_bench::harness::{emit_bench_json, parse_args, Stats};
 use mgpu_gles::{Engine, Gl};
 use mgpu_gpgpu::{OptConfig, Sgemm, Sum};
 use mgpu_tbdr::{Platform, SimTime};
@@ -110,18 +110,8 @@ fn engine_tag(engine: Engine) -> &'static str {
 }
 
 fn main() {
-    let mut n: u32 = 256;
-    let mut reps: usize = 3;
-    let mut gate = false;
-    for (i, arg) in std::env::args().skip(1).enumerate() {
-        if arg == "--gate" {
-            gate = true;
-        } else if i == 0 {
-            n = arg.parse().unwrap_or(n);
-        } else {
-            reps = arg.parse().unwrap_or(reps);
-        }
-    }
+    let ([n, reps], gate) = parse_args("kernel_throughput [n] [reps] [--gate]", [256, 3], true);
+    let reps = reps as usize;
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut thread_list = vec![1usize];
     if cores > 1 {

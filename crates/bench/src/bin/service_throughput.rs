@@ -33,7 +33,7 @@
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use mgpu_bench::harness::{emit_bench_json, Stats};
+use mgpu_bench::harness::{emit_bench_json, parse_args, Stats};
 use mgpu_conformance::check_fleet_isolation;
 use mgpu_gles::FaultPlan;
 use mgpu_service::{FleetService, JobRecord, JobSpec, ServiceConfig, ServiceStats};
@@ -176,24 +176,12 @@ fn summary_line(regime: &str, out: &Outcome) -> String {
 }
 
 fn main() {
-    let mut tenants = 1024usize;
-    let mut jobs_per_tenant = 2usize;
-    let mut gate = false;
-    let mut positional = 0;
-    for arg in std::env::args().skip(1) {
-        if arg == "--gate" {
-            gate = true;
-        } else if let Ok(n) = arg.parse::<usize>() {
-            match positional {
-                0 => tenants = n.max(1),
-                _ => jobs_per_tenant = n.max(1),
-            }
-            positional += 1;
-        } else {
-            eprintln!("usage: service_throughput [tenants] [jobs_per_tenant] [--gate]");
-            exit(2);
-        }
-    }
+    let ([tenants, jobs_per_tenant], gate) = parse_args(
+        "service_throughput [tenants] [jobs_per_tenant] [--gate]",
+        [1024, 2],
+        true,
+    );
+    let (tenants, jobs_per_tenant) = (tenants.max(1) as usize, jobs_per_tenant.max(1) as usize);
 
     println!(
         "service_throughput: {tenants} tenants x {jobs_per_tenant} jobs, \

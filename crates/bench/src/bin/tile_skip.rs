@@ -40,7 +40,7 @@
 
 use std::time::Duration;
 
-use mgpu_bench::harness::{emit_bench_json, Stats};
+use mgpu_bench::harness::{emit_bench_json, parse_args, Stats};
 use mgpu_gles::{ExecConfig, Gl, TileSkipStats};
 use mgpu_gpgpu::{runner::steady_period, OptConfig, Sgemm, Sum};
 use mgpu_tbdr::{Platform, SimTime};
@@ -160,12 +160,12 @@ fn run_workload(group: &str, name: &str, run: impl Fn(bool) -> Measurement) -> f
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    let nums: Vec<usize> = args.iter().filter_map(|s| s.parse().ok()).collect();
-    let sum_n = *nums.first().unwrap_or(&1024) as u32;
-    let sgemm_n = *nums.get(1).unwrap_or(&256) as u32;
-    let reps = *nums.get(2).unwrap_or(&3);
+    let ([sum_n, sgemm_n, reps], gate) = parse_args(
+        "tile_skip [sum_n] [sgemm_n] [reps] [--gate]",
+        [1024, 256, 3],
+        true,
+    );
+    let reps = reps as usize;
 
     for platform in [Platform::videocore_iv(), Platform::sgx_545()] {
         println!(

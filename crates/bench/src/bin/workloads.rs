@@ -25,7 +25,7 @@
 
 use std::time::Duration;
 
-use mgpu_bench::harness::{emit_bench_json, Stats};
+use mgpu_bench::harness::{emit_bench_json, parse_args, Stats};
 use mgpu_gles::{ExecConfig, Gl};
 use mgpu_gpgpu::{runner::steady_period, OptConfig};
 use mgpu_tbdr::{Platform, SimTime};
@@ -125,11 +125,8 @@ fn pyramid_tile_skip(group: &str, platform: &Platform, n: u32, levels: u32, reps
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    let nums: Vec<usize> = args.iter().filter_map(|s| s.parse().ok()).collect();
-    let n = *nums.first().unwrap_or(&16) as u32;
-    let reps = *nums.get(1).unwrap_or(&3);
+    let ([n, reps], gate) = parse_args("workloads [n] [reps] [--gate]", [16, 3], true);
+    let reps = reps as usize;
     let levels = 3.min(n.ilog2());
     let block = if n >= 4 { 4 } else { 1 };
 

@@ -1,17 +1,15 @@
-//! A minimal wall-clock benchmark harness with a criterion-shaped API.
+//! Shared command line, statistics and output format for the wall-clock
+//! and simulated-time gate binaries.
 //!
-//! The workspace builds hermetically (no registry access), so the bench
-//! targets cannot link the real `criterion` crate. This module provides
-//! the narrow subset they use — `benchmark_group` / `sample_size` /
-//! `bench_function` / `Bencher::iter` — timed with [`std::time::Instant`]
-//! and reported two ways per benchmark:
+//! Each bin reads its arguments with [`parse_args`], runs its own timing
+//! loop, summarises the samples with [`Stats`] and reports them two ways
+//! through [`emit_bench_json`]:
 //!
-//! * a human one-liner with mean / median / p95 / min / max;
-//! * a machine-readable `BENCH {...}` JSON line (see [`emit_bench_json`])
+//! * a human one-liner with mean / median / p95 / p99 / min / max;
+//! * a machine-readable `BENCH {...}` JSON line (see [`bench_json_line`])
 //!   so the perf trajectory can be scraped and tracked across commits.
 
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Summary statistics over one benchmark's timed samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +79,33 @@ impl Stats {
     }
 }
 
+/// Reads a bench binary's command line: unsigned integers replace the
+/// `positionals` defaults in order, and `--gate` sets the returned flag if
+/// `gate_flag` allows it. A non-numeric token, a surplus positional or an
+/// unknown flag prints `usage: {usage}` to stderr and exits with status 2,
+/// before the binary has printed anything.
+#[must_use]
+pub fn parse_args<const N: usize>(
+    usage: &str,
+    mut positionals: [u32; N],
+    gate_flag: bool,
+) -> ([u32; N], bool) {
+    let mut gate = false;
+    let mut next = 0;
+    for arg in std::env::args().skip(1) {
+        if gate_flag && arg == "--gate" {
+            gate = true;
+        } else if let (Some(slot), Ok(v)) = (positionals.get_mut(next), arg.parse()) {
+            *slot = v;
+            next += 1;
+        } else {
+            eprintln!("usage: {usage}");
+            std::process::exit(2);
+        }
+    }
+    (positionals, gate)
+}
+
 /// Escapes a string for inclusion in a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -116,80 +141,13 @@ pub fn bench_json_line(group: &str, id: &str, stats: &Stats) -> String {
 }
 
 /// Prints the human summary line and the `BENCH {...}` JSON line for one
-/// benchmark. Bench bins that do their own timing loops (rather than going
-/// through [`Criterion`]) call this directly so all output stays scrapable
-/// by the same tooling.
+/// benchmark, so every bin's output stays scrapable by the same tooling.
 pub fn emit_bench_json(group: &str, id: &str, stats: &Stats) {
     println!(
         "  {group}/{id}: mean {:?} median {:?} p95 {:?} p99 {:?} min {:?} max {:?} ({} samples)",
         stats.mean, stats.median, stats.p95, stats.p99, stats.min, stats.max, stats.samples
     );
     println!("{}", bench_json_line(group, id, stats));
-}
-
-/// Entry point object handed to each bench target's `bench` function.
-#[derive(Debug, Default)]
-pub struct Criterion {}
-
-impl Criterion {
-    /// Starts a named group of benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
-        println!("group {name}");
-        BenchmarkGroup {
-            name: name.to_owned(),
-            sample_size: 10,
-        }
-    }
-}
-
-/// A named collection of benchmarks sharing a sample size.
-#[derive(Debug)]
-pub struct BenchmarkGroup {
-    name: String,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup {
-    /// Sets how many timed samples each benchmark collects.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Times one benchmark, printing the summary statistics and the
-    /// machine-readable `BENCH {...}` line.
-    pub fn bench_function(&mut self, id: impl Into<String>, mut f: impl FnMut(&mut Bencher)) {
-        let id = id.into();
-        let mut b = Bencher {
-            samples: Vec::with_capacity(self.sample_size),
-        };
-        // One untimed warm-up pass, then the timed samples.
-        f(&mut b);
-        b.samples.clear();
-        for _ in 0..self.sample_size {
-            f(&mut b);
-        }
-        let stats = Stats::from_samples(&b.samples);
-        emit_bench_json(&self.name, &id, &stats);
-    }
-
-    /// Ends the group (parity with criterion's API; nothing to flush).
-    pub fn finish(self) {}
-}
-
-/// Times closures passed to [`Bencher::iter`].
-#[derive(Debug)]
-pub struct Bencher {
-    samples: Vec<Duration>,
-}
-
-impl Bencher {
-    /// Runs `f` once, recording its wall-clock duration as one sample.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        let start = Instant::now();
-        black_box(f());
-        self.samples.push(start.elapsed());
-    }
 }
 
 #[cfg(test)]

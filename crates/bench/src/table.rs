@@ -45,12 +45,6 @@ pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a speedup with two decimals, e.g. `3.47x`.
-#[must_use]
-pub fn speedup_cell(s: f64) -> String {
-    format!("{s:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,10 +62,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("a     "));
         assert!(lines[2].starts_with("x     "));
-    }
-
-    #[test]
-    fn speedup_formatting() {
-        assert_eq!(speedup_cell(16.277), "16.28x");
     }
 }

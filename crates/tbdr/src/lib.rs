@@ -44,7 +44,8 @@
 //!     sim.submit(&frame);
 //! }
 //! let report = sim.finish();
-//! let period = report.steady_period(50).expect("enough frames");
+//! // Steady state: the average gap between retirements after warm-up.
+//! let period = (report.frames[99].retire - report.frames[50].retire) / 49;
 //! assert!(period > mgpu_tbdr::SimTime::ZERO);
 //! ```
 
@@ -65,8 +66,8 @@ mod work;
 pub use chrome::chrome_trace;
 pub use energy::{EnergyEstimate, EnergyModel};
 pub use platform::{CopyEngine, Platform, PlatformBuilder, ShaderLimits, TileRect};
-pub use sched::{steady_state_period, PipelineSim};
-pub use stats::{FrameTiming, PeriodStats, SimReport, Traffic, UnitBusy};
+pub use sched::PipelineSim;
+pub use stats::{FrameTiming, SimReport, Traffic, UnitBusy};
 pub use time::{Bandwidth, Clock, SimTime};
 pub use trace::{annotate_frame, MemOp, TraceEvent};
 pub use work::{

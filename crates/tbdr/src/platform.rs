@@ -15,8 +15,9 @@
 //!   synchronisation rate far above 60 Hz (so `eglSwapInterval(0)` is a
 //!   no-op, as the paper observes).
 //!
-//! All constants are plain public-API knobs so that ablation benches can
-//! switch individual mechanisms on and off.
+//! All constants are plain public-API knobs so that ablations (the
+//! `mgpu-bench` `report`'s Ablations section) can switch individual
+//! mechanisms on and off.
 
 use crate::time::{Bandwidth, Clock, SimTime};
 

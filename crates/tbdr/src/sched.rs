@@ -506,34 +506,6 @@ impl PipelineSim {
     }
 }
 
-/// Runs `iterations` repetitions of the frame batch produced by `make_batch`
-/// (called once per iteration with the iteration index) and returns the
-/// steady-state period per iteration, discarding the first half as warm-up.
-///
-/// This mirrors the paper's measurement protocol of executing the entire
-/// benchmark body 10 000 times and reporting the rate.
-pub fn steady_state_period(
-    platform: &Platform,
-    iterations: usize,
-    mut make_batch: impl FnMut(usize) -> Vec<FrameWork>,
-) -> SimTime {
-    assert!(iterations >= 2, "need at least two iterations");
-    let mut sim = PipelineSim::new(platform.clone());
-    let mut iter_retire = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        let batch = make_batch(i);
-        let mut last = SimTime::ZERO;
-        for frame in &batch {
-            let t = sim.submit(frame);
-            last = t.retire.max(t.next_cpu_free);
-        }
-        iter_retire.push(last);
-    }
-    let half = iterations / 2;
-    let span = iter_retire[iterations - 1] - iter_retire[half - 1];
-    span / (iterations - half) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,18 +774,6 @@ mod tests {
         w.cleared = false;
         let preserved = sim.fragment_time(&w, false);
         assert!(preserved > cleared);
-    }
-
-    #[test]
-    fn steady_state_period_is_positive_and_stable() {
-        let p = Platform::videocore_iv();
-        let period = steady_state_period(&p, 50, |_| vec![frame(SyncOp::None)]);
-        assert!(period > SimTime::ZERO);
-        let period2 = steady_state_period(&p, 100, |_| vec![frame(SyncOp::None)]);
-        // Longer runs should converge to the same steady period (within 1%).
-        let a = period.as_secs_f64();
-        let b = period2.as_secs_f64();
-        assert!((a - b).abs() / b < 0.01, "{a} vs {b}");
     }
 
     #[test]

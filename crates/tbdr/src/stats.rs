@@ -89,22 +89,6 @@ pub struct UnitBusy {
     pub copy: SimTime,
 }
 
-/// Distribution of inter-frame retirement periods (see
-/// [`SimReport::period_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeriodStats {
-    /// Mean period.
-    pub mean: SimTime,
-    /// Median period.
-    pub p50: SimTime,
-    /// 90th percentile.
-    pub p90: SimTime,
-    /// 99th percentile.
-    pub p99: SimTime,
-    /// Worst observed period.
-    pub max: SimTime,
-}
-
 /// The full result of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -121,64 +105,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Average steady-state period between frame retirements, skipping the
-    /// first `warmup` frames.
-    ///
-    /// Returns `None` when fewer than two frames remain after warm-up.
-    #[must_use]
-    pub fn steady_period(&self, warmup: usize) -> Option<SimTime> {
-        let tail = &self.frames[warmup.min(self.frames.len())..];
-        if tail.len() < 2 {
-            return None;
-        }
-        let span = tail[tail.len() - 1].retire - tail[0].retire;
-        Some(span / (tail.len() - 1) as u64)
-    }
-
-    /// Frame throughput in simulated frames per second, after warm-up.
-    #[must_use]
-    pub fn throughput_hz(&self, warmup: usize) -> Option<f64> {
-        self.steady_period(warmup).map(|p| {
-            let s = p.as_secs_f64();
-            if s > 0.0 {
-                1.0 / s
-            } else {
-                f64::INFINITY
-            }
-        })
-    }
-
-    /// Distribution statistics of the inter-retirement periods after
-    /// `warmup` frames: (mean, p50, p90, p99, max).
-    ///
-    /// Useful for spotting vsync beating and hazard-induced jitter that a
-    /// plain average hides. Returns `None` with fewer than two
-    /// post-warm-up frames.
-    #[must_use]
-    pub fn period_stats(&self, warmup: usize) -> Option<PeriodStats> {
-        let tail = &self.frames[warmup.min(self.frames.len())..];
-        if tail.len() < 2 {
-            return None;
-        }
-        let mut gaps: Vec<SimTime> = tail
-            .windows(2)
-            .map(|w| w[1].retire.saturating_sub(w[0].retire))
-            .collect();
-        gaps.sort_unstable();
-        let total: SimTime = gaps.iter().copied().sum();
-        let pick = |q: f64| {
-            let idx = ((gaps.len() - 1) as f64 * q).round() as usize;
-            gaps[idx]
-        };
-        Some(PeriodStats {
-            mean: total / gaps.len() as u64,
-            p50: pick(0.50),
-            p90: pick(0.90),
-            p99: pick(0.99),
-            max: gaps.last().copied().unwrap_or(SimTime::ZERO),
-        })
-    }
-
     /// Utilisation of each unit over the whole run, in `[0, 1]`.
     #[must_use]
     pub fn utilisation(&self) -> [(&'static str, f64); 4] {
@@ -213,61 +139,6 @@ mod tests {
             dependency_flush: false,
             vsync_wait: SimTime::ZERO,
         }
-    }
-
-    fn report(retires: &[u64]) -> SimReport {
-        SimReport {
-            platform_name: "test".to_owned(),
-            frames: retires
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| timing(i, r))
-                .collect(),
-            traffic: Traffic::default(),
-            busy: UnitBusy::default(),
-            total_time: SimTime::from_nanos(*retires.last().unwrap_or(&0)),
-        }
-    }
-
-    #[test]
-    fn period_stats_order_and_bounds() {
-        let r = report(&[0, 100, 200, 350, 450, 1000]);
-        let st = r.period_stats(0).unwrap();
-        assert_eq!(st.mean, SimTime::from_nanos(200));
-        assert!(st.p50 <= st.p90 && st.p90 <= st.p99 && st.p99 <= st.max);
-        assert_eq!(st.max, SimTime::from_nanos(550));
-        assert!(r.period_stats(5).is_none());
-    }
-
-    #[test]
-    fn period_stats_uniform_stream_is_flat() {
-        let r = report(&[100, 200, 300, 400, 500]);
-        let st = r.period_stats(0).unwrap();
-        assert_eq!(st.p50, st.max);
-        assert_eq!(st.mean, SimTime::from_nanos(100));
-    }
-
-    #[test]
-    fn steady_period_averages_gaps() {
-        let r = report(&[100, 200, 300, 400]);
-        assert_eq!(r.steady_period(0), Some(SimTime::from_nanos(100)));
-        assert_eq!(r.steady_period(2), Some(SimTime::from_nanos(100)));
-    }
-
-    #[test]
-    fn steady_period_needs_two_frames() {
-        let r = report(&[100]);
-        assert_eq!(r.steady_period(0), None);
-        let r2 = report(&[100, 200]);
-        assert_eq!(r2.steady_period(1), None);
-        assert_eq!(r2.steady_period(5), None);
-    }
-
-    #[test]
-    fn throughput_inverts_period() {
-        let r = report(&[0, 1_000_000, 2_000_000]);
-        let hz = r.throughput_hz(0).unwrap();
-        assert!((hz - 1000.0).abs() < 1e-6);
     }
 
     #[test]

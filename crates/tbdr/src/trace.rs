@@ -2,8 +2,8 @@
 //!
 //! The paper's Figure 1 enumerates six memory operations in the life of a
 //! GPGPU kernel on a tiled GPU. [`annotate_frame`] reconstructs that listing
-//! for a scheduled frame, which is what the `fig1_trace` harness binary
-//! prints.
+//! for a scheduled frame; `mgpu-bench`'s `report` prints it as the Fig. 1
+//! table.
 
 use std::fmt;
 

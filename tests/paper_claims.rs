@@ -4,7 +4,7 @@
 //! where crossovers fall — at the paper's full 1024×1024 size (the timing
 //! model is analytic, so this is cheap).
 
-use mgpu_bench::experiments::{fig3, fig4a, fig4b, fig5, vbo};
+use mgpu_bench::experiments::{fig1, fig3, fig4a, fig4b, fig5, vbo};
 use mgpu_bench::setup::Protocol;
 use mgpu_tbdr::Platform;
 
@@ -13,6 +13,33 @@ fn protocol() -> Protocol {
         n: 1024,
         warmup: 10,
         iters: 40,
+    }
+}
+
+#[test]
+fn fig1_memory_movement_steps() {
+    // Consecutive repeats (each texture upload is its own step-2 event)
+    // fold into one, leaving the sequence of numbered operations.
+    let steps = |events: &[mgpu_tbdr::TraceEvent]| {
+        let mut steps: Vec<u8> = events.iter().map(|e| e.op.paper_step()).collect();
+        steps.dedup();
+        steps
+    };
+    for platform in Platform::paper_pair() {
+        let r = fig1::run(&platform).expect("fig1");
+        let name = &r.platform;
+        assert_eq!(steps(&r.texture), [2, 5], "{name} texture rendering");
+        assert_eq!(
+            steps(&r.framebuffer),
+            [2, 3, 4],
+            "{name} framebuffer rendering"
+        );
+        // Disabling invalidation reloads the previous target contents.
+        assert_eq!(
+            steps(&r.framebuffer_no_invalidate),
+            [2, 6, 3, 4],
+            "{name} framebuffer rendering without invalidation"
+        );
     }
 }
 
