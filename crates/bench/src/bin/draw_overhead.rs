@@ -6,8 +6,7 @@
 //! allocation. This harness isolates that overhead by timing whole
 //! multiplies in two modes of the one dispatcher:
 //!
-//! * `pool_nocache` — plan cache off: plans are rebuilt every draw
-//!   (allocations recycled);
+//! * `pool_nocache` — plan cache off: plans are rebuilt every draw;
 //! * `warm_cached`  — the draw-plan cache on: after the first multiply
 //!   primes one plan per `blk_n` value, every draw runs warm.
 //!

@@ -54,13 +54,15 @@ fn run(
     b: &[f32],
 ) -> Outcome {
     let mut gl = Gl::new(platform.clone(), n, n);
+    gl.set_exec_config(
+        gl.exec_config()
+            .with_thread_count(threads)
+            .with_engine(engine),
+    );
     let mut samples = Vec::with_capacity(reps);
     let result_bits: Vec<u32> = match workload {
         Workload::Sum => {
-            let cfg = OptConfig::baseline()
-                .without_swap()
-                .with_threads(threads)
-                .with_engine(engine);
+            let cfg = OptConfig::baseline().without_swap();
             let mut sum = Sum::builder(n)
                 .build(&mut gl, &cfg, a, b)
                 .expect("sum builds");
@@ -73,10 +75,7 @@ fn run(
             sum.result(&mut gl).expect("result")
         }
         Workload::Sgemm => {
-            let cfg = OptConfig::baseline()
-                .with_swap_interval_0()
-                .with_threads(threads)
-                .with_engine(engine);
+            let cfg = OptConfig::baseline().with_swap_interval_0();
             let mut sgemm =
                 Sgemm::new(&mut gl, &cfg, n, 16, a, b).expect("sgemm builds at block 16");
             for _ in 0..reps {

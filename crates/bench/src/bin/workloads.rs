@@ -38,8 +38,7 @@ fn sim_stats(period: SimTime) -> Stats {
 /// Tunes one family and emits its untuned/tuned periods; returns the
 /// winner's speedup over the baseline candidate.
 fn tune_family(group: &str, platform: &Platform, workload: &dyn Workload, reps: usize) -> f64 {
-    let result = tune_workload(platform, workload, 1, reps, &ExecConfig::from_env())
-        .expect("workload tunes");
+    let result = tune_workload(platform, workload, 1, reps).expect("workload tunes");
     let name = workload.name();
     let best = result.best();
     let baseline = result

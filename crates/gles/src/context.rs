@@ -28,7 +28,7 @@ use mgpu_tbdr::{
 };
 
 use crate::error::GlError;
-use crate::exec::{plan_cache_default, ExecConfig};
+use crate::exec::ExecConfig;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite};
 use crate::plan_cache::{corners_hash, PlanCache, PlanCacheStats, PlanKey};
 use crate::pool::Executor;
@@ -447,9 +447,6 @@ pub struct Gl {
     shader_memo: ShaderMemo,
     /// Per-context draw-plan cache (cleared on context loss/recreation).
     plan_cache: PlanCache,
-    /// When the plan cache is disabled, the last draw's plan is parked
-    /// here so the next build can recycle its allocations.
-    scratch_plan: Option<DrawPlan>,
     /// Per-context tile-signature cache for redundancy elimination
     /// (`MGPU_TILE_SKIP=on`; flushed on context loss, an engine switch
     /// and when skipping turns off).
@@ -522,8 +519,7 @@ impl Gl {
             executor: None,
             executor_installed: false,
             shader_memo: ShaderMemo::default(),
-            plan_cache: PlanCache::new(plan_cache_default()),
-            scratch_plan: None,
+            plan_cache: PlanCache::new(),
             tile_cache: TileSigCache::new(),
         })
     }
@@ -618,13 +614,11 @@ impl Gl {
 
     /// Enables or disables the per-context draw-plan cache (draw setup —
     /// program lowering, interpolation hoisting, engine state — is then
-    /// redone every draw, recycling the previous plan's allocations).
-    /// Disabling drops every cached plan. Purely a wall-clock knob.
+    /// redone in full every draw). Disabling drops every cached plan.
+    /// Purely a wall-clock knob: the uncached path is the reference the
+    /// conformance oracle holds the cache against.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache.set_enabled(enabled);
-        if enabled {
-            self.scratch_plan = None;
-        }
     }
 
     /// Hit/miss/eviction counters of the draw-plan cache.
@@ -709,7 +703,6 @@ impl Gl {
         // survive: recovery should not pay a thread-respawn or recompile
         // tax on top of object recreation.
         self.plan_cache.clear();
-        self.scratch_plan = None;
         // Cached tile bytes likewise belong to dead objects; recovered
         // runs must re-shade (and re-sign) from scratch.
         self.tile_cache.flush();
@@ -722,7 +715,6 @@ impl Gl {
         self.pending_uploads.clear();
         self.pending_cpu_extra = SimTime::ZERO;
         self.plan_cache.clear();
-        self.scratch_plan = None;
         self.tile_cache.flush();
     }
 
@@ -1739,7 +1731,6 @@ impl Gl {
             let surfaces = &mut self.surfaces;
             let pool = &mut self.executor;
             let plan_cache = &mut self.plan_cache;
-            let scratch_plan = &mut self.scratch_plan;
             let tile_cache = &mut self.tile_cache;
             let platform = &self.platform;
             let taken = &mut taken;
@@ -1773,11 +1764,9 @@ impl Gl {
                     }
                 };
 
-                // 1. Plan lookup: the cached plan, or a fresh build that
-                // recycles the parked plan's allocations (populated only
-                // while the cache is disabled, so recycling never
-                // cannibalises a cached plan). Sampler views are always
-                // fresh — texture contents are never part of a plan.
+                // 1. Plan lookup: the cached plan, or a fresh build.
+                // Sampler views are always fresh — texture contents are
+                // never part of a plan.
                 let mut plan = match plan_cache.take(&key) {
                     Some(plan) => plan,
                     None => run_kernel(|| {
@@ -1787,7 +1776,6 @@ impl Gl {
                             exec.engine(),
                             &corners,
                             width,
-                            scratch_plan.take(),
                         )
                     })?,
                 };
@@ -1873,11 +1861,7 @@ impl Gl {
                         extract_tile(out, &r, width, ch),
                     );
                 }
-                if plan_cache.enabled() {
-                    plan_cache.insert(key, plan);
-                } else {
-                    *scratch_plan = Some(plan);
-                }
+                plan_cache.insert(key, plan);
                 Ok(skip)
             })()
         };

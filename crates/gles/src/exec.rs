@@ -19,13 +19,14 @@
 //! thread and never spawns a pool.
 //!
 //! **Every** `MGPU_*` knob of this crate (`MGPU_ENGINE`,
-//! `MGPU_PLAN_CACHE`, `MGPU_TILE_SKIP`, `MGPU_THREADS`, `MGPU_FAULTS`) is
-//! resolved **once per process** into a single cached snapshot: mutating
-//! the environment mid-run can never flip the engine, plan cache, thread
-//! default or fault plan between draws or desynchronise two configs built
-//! at different times. An explicit builder call
-//! ([`ExecConfig::with_engine`], [`ExecConfig::with_tile_skip`]) is the
-//! supported way to change them at run time.
+//! `MGPU_TILE_SKIP`, `MGPU_THREADS`, `MGPU_FAULTS`) is resolved **once
+//! per process** into a single cached snapshot: mutating the environment
+//! mid-run can never flip the engine, thread default or fault plan
+//! between draws or desynchronise two configs built at different times.
+//! An explicit builder call ([`ExecConfig::with_engine`],
+//! [`ExecConfig::with_tile_skip`]) passed to
+//! [`Gl::set_exec_config`](crate::Gl::set_exec_config) is the supported
+//! way to change them at run time.
 //!
 //! Invalid knob values are **errors**, not silent fallbacks: the snapshot
 //! records a typed [`EnvKnobError`] naming the variable, the offending
@@ -51,13 +52,8 @@ pub const ENGINE_ENV: &str = "MGPU_ENGINE";
 /// an [`EnvKnobError`] at context creation.
 pub const FAULTS_ENV: &str = "MGPU_FAULTS";
 
-/// Environment variable disabling the per-context draw-plan cache
-/// (`off`/`0`/`false`/`no`): every draw then rebuilds its lowered
-/// program, column table and engine seats.
-pub const PLAN_CACHE_ENV: &str = "MGPU_PLAN_CACHE";
-
 /// Environment variable enabling tile-level redundancy elimination
-/// (`on`/`1`/`true`/`yes`; **default off**, unlike the other switches):
+/// (`on`/`1`/`true`/`yes`; **default off**):
 /// draws then consult the per-context tile-signature cache and replay the
 /// cached bytes of any tile whose inputs are provably unchanged instead of
 /// shading it, and the timing simulation charges skipped tiles their
@@ -77,8 +73,7 @@ pub const TILE_SKIP_ENV: &str = "MGPU_TILE_SKIP";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The original per-fragment scalar interpreter, uniforms resolved at
-    /// bind time: the reference path, and the resilient runner's
-    /// fallback.
+    /// bind time: the reference path.
     Scalar,
     /// The straight-line IR lowered at bind time into a chain of fused,
     /// monomorphised native closures over [`LANES`](mgpu_shader::LANES)
@@ -127,18 +122,16 @@ impl std::fmt::Display for EnvKnobError {
 impl std::error::Error for EnvKnobError {}
 
 /// Process-wide snapshot of **every** `MGPU_*` environment knob, read and
-/// validated exactly once. Engine and cache selection must stay
-/// constant across a run for the byte-identity and plan-reuse invariants
-/// to be meaningful; caching the thread default and fault plan alongside
-/// them means two configs (or contexts) built at different times can
-/// never desynchronise through a mid-process `set_var`.
+/// validated exactly once. Engine selection must stay constant across a
+/// run for the byte-identity invariant to be meaningful; caching the
+/// thread default and fault plan alongside it means two configs (or
+/// contexts) built at different times can never desynchronise through a
+/// mid-process `set_var`.
 #[derive(Debug, Clone)]
 struct EnvKnobs {
     engine: Engine,
-    plan_cache: bool,
-    /// `MGPU_TILE_SKIP` — the only switch that defaults **off**: tile
-    /// skipping changes simulated timing (that is its point), so it must
-    /// be asked for.
+    /// `MGPU_TILE_SKIP`, default **off**: tile skipping changes simulated
+    /// timing (that is its point), so it must be asked for.
     tile_skip: bool,
     /// `MGPU_THREADS`, when set (explicit configs still override it).
     threads: Option<usize>,
@@ -170,10 +163,14 @@ impl EnvKnobs {
             ),
             _ => None,
         };
+        let tile_skip = match get(TILE_SKIP_ENV) {
+            Some(s) => parse_switch(&s)
+                .ok_or_else(|| EnvKnobError::new(TILE_SKIP_ENV, &s, SWITCH_GRAMMAR))?,
+            None => false,
+        };
         Ok(EnvKnobs {
             engine,
-            plan_cache: resolve_switch_or(&get, PLAN_CACHE_ENV, true)?,
-            tile_skip: resolve_switch_or(&get, TILE_SKIP_ENV, false)?,
+            tile_skip,
             threads,
             faults,
         })
@@ -197,8 +194,8 @@ fn parse_engine(value: &str) -> Option<Engine> {
 }
 
 /// `on`/`1`/`true`/`yes` or `off`/`0`/`false`/`no`, case-insensitive and
-/// trimmed. Anything else is a grammar error — an `MGPU_PLAN_CACHE=offf`
-/// typo must not silently leave the cache on.
+/// trimmed. Anything else is a grammar error — an `MGPU_TILE_SKIP=offf`
+/// typo must not silently pick a default.
 fn parse_switch(value: &str) -> Option<bool> {
     match value.trim().to_ascii_lowercase().as_str() {
         "on" | "1" | "true" | "yes" => Some(true),
@@ -211,17 +208,6 @@ fn parse_switch(value: &str) -> Option<bool> {
 /// of zero is meaningless, and silently clamping it would mask the typo).
 fn parse_thread_count(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-fn resolve_switch_or(
-    get: &impl Fn(&'static str) -> Option<String>,
-    var: &'static str,
-    default: bool,
-) -> Result<bool, EnvKnobError> {
-    match get(var) {
-        Some(s) => parse_switch(&s).ok_or_else(|| EnvKnobError::new(var, &s, SWITCH_GRAMMAR)),
-        None => Ok(default),
-    }
 }
 
 /// The once-per-process knob snapshot (or the first validation error).
@@ -256,12 +242,6 @@ impl Engine {
     pub fn from_env() -> Self {
         env_knobs_or_panic().engine
     }
-}
-
-/// The process-wide `MGPU_PLAN_CACHE` default (resolved once; an invalid
-/// environment reports through context creation, so default to on here).
-pub(crate) fn plan_cache_default() -> bool {
-    env_knobs().as_ref().map(|k| k.plan_cache).unwrap_or(true)
 }
 
 /// The process-wide `MGPU_FAULTS` plan (resolved once), or the knob error
@@ -498,14 +478,8 @@ mod tests {
         ] {
             for s in spellings(token) {
                 assert_eq!(parse_switch(&s), Some(on), "switch `{s}`");
-                for var in [PLAN_CACHE_ENV, TILE_SKIP_ENV] {
-                    let knobs = resolve_one(var, &s).unwrap();
-                    let got = match var {
-                        PLAN_CACHE_ENV => knobs.plan_cache,
-                        _ => knobs.tile_skip,
-                    };
-                    assert_eq!(got, on, "{var}=`{s}`");
-                }
+                let knobs = resolve_one(TILE_SKIP_ENV, &s).unwrap();
+                assert_eq!(knobs.tile_skip, on, "{TILE_SKIP_ENV}=`{s}`");
             }
         }
         for n in [1usize, 2, 7, 64, 10_000] {
@@ -519,7 +493,6 @@ mod tests {
         assert_eq!(resolve_one(FAULTS_ENV, "  ").unwrap().faults, None);
         let defaults = EnvKnobs::resolve(|_| None).unwrap();
         assert_eq!(defaults.engine, Engine::Compiled);
-        assert!(defaults.plan_cache);
         assert!(!defaults.tile_skip, "tile skipping must default off");
         assert_eq!(defaults.threads, None);
         assert_eq!(defaults.faults, None);
@@ -550,10 +523,8 @@ mod tests {
         let switch_bad = ["offf", "enabled", "2", "-1", "o n", ""];
         for v in switch_bad {
             assert_eq!(parse_switch(v), None, "switch `{v}`");
-            for var in [PLAN_CACHE_ENV, TILE_SKIP_ENV] {
-                let err = resolve_one(var, v).unwrap_err();
-                assert_eq!((err.var, err.value.as_str()), (var, v));
-            }
+            let err = resolve_one(TILE_SKIP_ENV, v).unwrap_err();
+            assert_eq!((err.var, err.value.as_str()), (TILE_SKIP_ENV, v));
         }
         let threads_bad = ["0", "-3", "two", "1.5", "1e3", "", "0x8"];
         for v in threads_bad {
@@ -576,7 +547,6 @@ mod tests {
             let v = match var {
                 ENGINE_ENV => "compiled",
                 THREADS_ENV => "3",
-                PLAN_CACHE_ENV => "off",
                 TILE_SKIP_ENV => "yes",
                 FAULTS_ENV => "seed=4",
                 _ => return None,
@@ -586,7 +556,6 @@ mod tests {
         .unwrap();
         assert_eq!(knobs.engine, Engine::Compiled);
         assert_eq!(knobs.threads, Some(3));
-        assert!(!knobs.plan_cache);
         assert!(knobs.tile_skip);
         assert_eq!(knobs.faults, Some(FaultPlan::seeded(4)));
 

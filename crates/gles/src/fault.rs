@@ -330,24 +330,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Reads the plan from the `MGPU_FAULTS` environment variable.
-    ///
-    /// Unset or empty means no plan. This is a **direct, uncached** read
-    /// for ad-hoc tooling; context creation goes through the
-    /// once-per-process knob snapshot instead (see
-    /// [`Gl::try_new`](crate::Gl::try_new)), so mutating the variable
-    /// after the first context exists cannot change later contexts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlan::parse`] errors.
-    pub fn from_env() -> Result<Option<Self>, FaultSpecError> {
-        match std::env::var("MGPU_FAULTS") {
-            Ok(s) if !s.trim().is_empty() => FaultPlan::parse(&s).map(Some),
-            _ => Ok(None),
-        }
-    }
 }
 
 impl fmt::Display for FaultPlan {

@@ -8,9 +8,10 @@
 //! engine register allocation — depends only on (shader, uniforms,
 //! engine, target geometry, corners), so this cache keys finished
 //! [`DrawPlan`]s by exactly that tuple and hands them back on repeat
-//! draws. With the cache disabled (`MGPU_PLAN_CACHE=off`) the context
-//! still recycles the last plan's allocations, but rebuilds it every
-//! draw.
+//! draws. With the cache disabled
+//! ([`Gl::set_plan_cache_enabled`](crate::Gl::set_plan_cache_enabled))
+//! the context builds a fresh plan for every draw: the reference path the
+//! conformance oracle holds the cache against.
 //!
 //! The shader enters the key as its **shader id** from the context's
 //! shader memo ([`crate::shader_memo`]), not as the program handle.
@@ -25,9 +26,9 @@
 //!
 //! * **uniform change / relink** — the uniform hash or the shader id
 //!   changes, so the next draw misses and builds a fresh plan; the stale
-//!   entry ages out FIFO. The context never reuses a shader id (a source
-//!   the memo evicted relinks under a fresh one), so a plan is never
-//!   served for a compilation it was not built from.
+//!   entry ages out in insertion order. The context never reuses a
+//!   shader id (a source the memo evicted relinks under a fresh one), so
+//!   a plan is never served for a compilation it was not built from.
 //! * **texture respecification** — nothing texture-dependent is cached:
 //!   sampler views are rebuilt on every draw because ping-pong pipelines
 //!   change texture *contents* between passes.
@@ -36,11 +37,12 @@
 //!   state. (The shader memo survives, so recovery relinks under the same
 //!   ids and rebuilds plans without recompiling.)
 //!
-//! Capacity is bounded ([`PLAN_CACHE_CAP`]) with FIFO-order reinsertion on
-//! hit, which approximates LRU: a plan re-used this draw goes to the back
-//! of the eviction queue.
+//! Capacity is bounded ([`PLAN_CACHE_CAP`]). Every insertion stamps its
+//! entry with a fresh sequence number and the smallest stamp is evicted
+//! first; a hit takes the plan out and reinserts it, so eviction order is
+//! least recently inserted, which approximates LRU.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::exec::Engine;
 use crate::raster::{DrawPlan, VaryingCorners};
@@ -112,11 +114,10 @@ pub struct PlanCacheStats {
 /// reinserted afterwards; a plan in flight is simply absent, so a
 /// recursive or failed draw never observes a half-used plan.
 pub(crate) struct PlanCache {
-    plans: HashMap<PlanKey, DrawPlan>,
-    /// Eviction order, oldest first. May contain stale keys (removed or
-    /// reinserted entries); eviction skips keys no longer in `plans` and
-    /// the queue is compacted when it outgrows the map by 4×.
-    order: VecDeque<PlanKey>,
+    /// Each plan with the stamp of its latest insertion.
+    plans: HashMap<PlanKey, (u64, DrawPlan)>,
+    /// The stamp the next insertion receives.
+    next_stamp: u64,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -136,19 +137,16 @@ impl std::fmt::Debug for PlanCache {
 }
 
 impl PlanCache {
-    pub(crate) fn new(enabled: bool) -> Self {
+    /// An empty, enabled cache.
+    pub(crate) fn new() -> Self {
         PlanCache {
             plans: HashMap::new(),
-            order: VecDeque::new(),
-            enabled,
+            next_stamp: 0,
+            enabled: true,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Enables or disables lookups. Disabling clears the cache — a
@@ -166,7 +164,7 @@ impl PlanCache {
             return None;
         }
         match self.plans.remove(key) {
-            Some(plan) => {
+            Some((_, plan)) => {
                 self.hits += 1;
                 Some(plan)
             }
@@ -177,53 +175,30 @@ impl PlanCache {
         }
     }
 
-    /// (Re)inserts a plan, evicting the oldest entries beyond capacity.
+    /// (Re)inserts a plan under a fresh stamp, evicting the least
+    /// recently inserted plan beyond capacity.
     pub(crate) fn insert(&mut self, key: PlanKey, plan: DrawPlan) {
         if !self.enabled {
             return;
         }
-        self.plans.insert(key, plan);
-        self.order.push_back(key);
-        while self.plans.len() > PLAN_CACHE_CAP {
-            match self.order.pop_front() {
-                // Only count an eviction when the key still mapped to a
-                // live plan; stale queue entries are free to discard.
-                Some(old) => {
-                    // A reinserted key has a fresher queue entry further
-                    // back; evicting on its *stale* entry would throw away
-                    // the hottest plan. Skip keys whose front entry is not
-                    // their newest.
-                    if self.order.contains(&old) {
-                        continue;
-                    }
-                    if self.plans.remove(&old).is_some() {
-                        self.evictions += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-        if self.order.len() > 4 * PLAN_CACHE_CAP {
-            let plans = &self.plans;
-            let mut seen = std::collections::HashSet::new();
-            // Keep only the newest queue entry of each live key (iterate
-            // from the back so `seen` marks the newest first).
-            let mut kept: Vec<PlanKey> = self
-                .order
+        self.plans.insert(key, (self.next_stamp, plan));
+        self.next_stamp += 1;
+        if self.plans.len() > PLAN_CACHE_CAP {
+            let oldest = self
+                .plans
                 .iter()
-                .rev()
-                .filter(|k| plans.contains_key(*k) && seen.insert(**k))
-                .copied()
-                .collect();
-            kept.reverse();
-            self.order = kept.into();
+                .min_by_key(|(_, (stamp, _))| *stamp)
+                .map(|(k, _)| *k);
+            if let Some(oldest) = oldest {
+                self.plans.remove(&oldest);
+                self.evictions += 1;
+            }
         }
     }
 
     /// Drops every cached plan (context loss, cache disable).
     pub(crate) fn clear(&mut self) {
         self.plans.clear();
-        self.order.clear();
     }
 
     pub(crate) fn stats(&self) -> PlanCacheStats {
@@ -254,7 +229,6 @@ mod tests {
             Engine::Scalar,
             &[texcoord_corners()],
             8,
-            None,
         )
         .expect("test plan builds")
     }
@@ -273,7 +247,7 @@ mod tests {
 
     #[test]
     fn take_counts_hits_and_misses() {
-        let mut cache = PlanCache::new(true);
+        let mut cache = PlanCache::new();
         assert!(cache.take(&key(1, 0)).is_none());
         cache.insert(key(1, 0), test_plan());
         assert!(cache.take(&key(1, 0)).is_some());
@@ -286,11 +260,11 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded_and_reinsertion_protects_hot_plans() {
-        let mut cache = PlanCache::new(true);
+        let mut cache = PlanCache::new();
         cache.insert(key(0, 0), test_plan());
         cache.insert(key(9, 9), test_plan());
-        // Re-touch key 0 (take + reinsert): it is now *newer* than key 9
-        // despite its stale front slot in the eviction queue.
+        // Re-touch key 0 (take + reinsert): its fresh stamp makes it
+        // *newer* than key 9, although it was inserted first.
         let plan = cache.take(&key(0, 0)).expect("just inserted");
         cache.insert(key(0, 0), plan);
         // Flood to one entry over capacity: exactly one eviction, and it
@@ -309,7 +283,7 @@ mod tests {
     fn a_full_uniform_cycle_fits() {
         // The sgemm pass structure: one program, 64 distinct uniform
         // hashes, repeated. The second cycle must be all hits.
-        let mut cache = PlanCache::new(true);
+        let mut cache = PlanCache::new();
         for pass in 0..64u64 {
             assert!(cache.take(&key(7, pass)).is_none());
             cache.insert(key(7, pass), test_plan());
@@ -329,7 +303,7 @@ mod tests {
 
     #[test]
     fn disabling_clears_and_stops_serving() {
-        let mut cache = PlanCache::new(true);
+        let mut cache = PlanCache::new();
         cache.insert(key(1, 0), test_plan());
         cache.set_enabled(false);
         assert_eq!(cache.stats().entries, 0);

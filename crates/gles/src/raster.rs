@@ -207,33 +207,6 @@ impl FragSeat {
             }
         })
     }
-
-    /// Rebinds the seat to a new shader/uniform pair, reusing its
-    /// allocations. The seat's tier must match the plan's engine — the
-    /// caller guarantees it by only recycling seats from a same-engine
-    /// plan — and `compiled` must be the plan's lowered program on the
-    /// compiled tier.
-    fn rebind(
-        &mut self,
-        shader: &Shader,
-        uniforms: &UniformValues,
-        slots: usize,
-        compiled: Option<&Arc<CompiledProgram>>,
-    ) -> Result<(), ExecError> {
-        match self {
-            FragSeat::Scalar(core) => core.rebind(shader, uniforms),
-            FragSeat::Compiled(seat) => {
-                let program = Arc::clone(
-                    compiled
-                        .ok_or_else(|| ExecError::new("compiled plan has no lowered program"))?,
-                );
-                seat.core.rebind(&program);
-                seat.program = program;
-                seat.varyings.resize(slots * LANES, [0.0f32; 4]);
-                Ok(())
-            }
-        }
-    }
 }
 
 /// Runs a seat over the fragment rectangle `x0..x1` × `y0..y1`,
@@ -346,11 +319,8 @@ impl std::fmt::Debug for DrawPlan {
 }
 
 impl DrawPlan {
-    /// Builds a plan for drawing `source` with `uniforms` onto a
-    /// `width`-wide target. `recycled` donates a dead plan's allocations
-    /// (seats, register files) when its engine matches — used by the
-    /// cache-disabled path to avoid rebuilding engine state from scratch
-    /// every draw.
+    /// Builds a plan for drawing `shader` with `uniforms` onto a
+    /// `width`-wide target, with one seat bound.
     ///
     /// # Errors
     ///
@@ -362,7 +332,6 @@ impl DrawPlan {
         engine: Engine,
         corners: &[VaryingCorners],
         width: u32,
-        recycled: Option<DrawPlan>,
     ) -> Result<DrawPlan, ExecError> {
         check_corners(shader, corners)?;
         // Lower once per plan; every seat shares the build. Uniforms fold
@@ -372,22 +341,13 @@ impl DrawPlan {
             Engine::Scalar => None,
         };
         let slots = corners.len();
-        let mut seats = match recycled {
-            Some(old) if old.engine == engine => old.seats,
-            _ => Vec::new(),
-        };
-        for seat in &mut seats {
-            seat.rebind(shader, uniforms, slots, compiled.as_ref())?;
-        }
-        if seats.is_empty() {
-            seats.push(FragSeat::new(
-                shader,
-                uniforms,
-                engine,
-                slots,
-                compiled.as_ref(),
-            )?);
-        }
+        let seats = vec![FragSeat::new(
+            shader,
+            uniforms,
+            engine,
+            slots,
+            compiled.as_ref(),
+        )?];
         Ok(DrawPlan {
             shader: Arc::clone(shader),
             compiled,
@@ -807,8 +767,7 @@ mod tests {
         }
     }
 
-    /// Shades a full `w`×`h` target through a plan built from `plan`'s
-    /// recycled seats (or fresh ones), leaving the plan behind for reuse.
+    /// Shades a full `w`×`h` target through a freshly built plan.
     #[allow(clippy::too_many_arguments)]
     fn planned_bytes(
         sh: &Shader,
@@ -819,21 +778,13 @@ mod tests {
         engine: Engine,
         threads: usize,
         pool: &mut Option<PoolExecutor>,
-        plan: &mut Option<DrawPlan>,
     ) -> Vec<u8> {
         let shader = Arc::new(sh.clone());
-        let mut built = DrawPlan::build(
-            &shader,
-            uniforms,
-            engine,
-            &[texcoord_corners()],
-            w,
-            plan.take(),
-        )
-        .unwrap();
+        let mut plan =
+            DrawPlan::build(&shader, uniforms, engine, &[texcoord_corners()], w).unwrap();
         let mut data = vec![0u8; w as usize * h as usize * ch];
         execute_plan(
-            &mut built,
+            &mut plan,
             &[],
             target(w, h, ch, &mut data),
             0,
@@ -842,7 +793,6 @@ mod tests {
             pool,
         )
         .unwrap();
-        *plan = Some(built);
         data
     }
 
@@ -854,17 +804,7 @@ mod tests {
         h: u32,
         ch: usize,
     ) -> Vec<u8> {
-        planned_bytes(
-            sh,
-            uniforms,
-            w,
-            h,
-            ch,
-            Engine::Scalar,
-            1,
-            &mut None,
-            &mut None,
-        )
+        planned_bytes(sh, uniforms, w, h, ch, Engine::Scalar, 1, &mut None)
     }
 
     #[test]
@@ -875,17 +815,7 @@ mod tests {
         )
         .unwrap();
         for engine in ENGINES {
-            let got = planned_bytes(
-                &sh,
-                &UniformValues::new(),
-                2,
-                2,
-                4,
-                engine,
-                1,
-                &mut None,
-                &mut None,
-            );
+            let got = planned_bytes(&sh, &UniformValues::new(), 2, 2, 4, engine, 1, &mut None);
             // Fragment centres of a 2x2 grid are at 0.25/0.75, which
             // quantise to 64/191.
             let want = [
@@ -904,7 +834,7 @@ mod tests {
         .unwrap();
         let shader = Arc::new(sh);
         for engine in ENGINES {
-            let r = DrawPlan::build(&shader, &UniformValues::new(), engine, &[], 1, None);
+            let r = DrawPlan::build(&shader, &UniformValues::new(), engine, &[], 1);
             assert!(r.unwrap_err().to_string().contains("1 varyings"));
         }
     }
@@ -926,9 +856,7 @@ mod tests {
                 for engine in ENGINES {
                     for threads in [2, 4, 8] {
                         assert_eq!(
-                            planned_bytes(
-                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut None
-                            ),
+                            planned_bytes(&sh, &uniforms, w, h, ch, engine, threads, &mut pool),
                             serial,
                             "{w}x{h}x{ch} {engine:?} at {threads} threads"
                         );
@@ -941,21 +869,17 @@ mod tests {
     #[test]
     fn compiled_engine_is_byte_identical_to_scalar() {
         let (sh, uniforms) = branchy();
-        // One pool shared across every dispatch, as the context holds it;
-        // plans recycled across draws exercise seat rebinding. Widths
-        // around the lane count exercise full, partial and multi-batch
-        // rows.
+        // One pool shared across every dispatch, as the context holds it.
+        // Widths around the lane count exercise full, partial and
+        // multi-batch rows.
         let mut pool = None;
-        let mut plan = None;
         for &(w, h) in &[(1u32, 5u32), (63, 9), (64, 3), (65, 40), (200, 11)] {
             for &ch in &[3usize, 4] {
                 let scalar = reference_bytes(&sh, &uniforms, w, h, ch);
                 for engine in ENGINES {
                     for threads in [1usize, 2, 4, 8] {
                         assert_eq!(
-                            planned_bytes(
-                                &sh, &uniforms, w, h, ch, engine, threads, &mut pool, &mut plan,
-                            ),
+                            planned_bytes(&sh, &uniforms, w, h, ch, engine, threads, &mut pool),
                             scalar,
                             "{w}x{h}x{ch} {engine:?} at {threads} threads"
                         );
@@ -975,7 +899,7 @@ mod tests {
             for engine in ENGINES {
                 for bands in [2u32, 3, 7] {
                     let mut plan =
-                        DrawPlan::build(&shader, &uniforms, engine, &[texcoord_corners()], w, None)
+                        DrawPlan::build(&shader, &uniforms, engine, &[texcoord_corners()], w)
                             .unwrap();
                     let mut data = vec![0u8; w as usize * h as usize * 4];
                     let rows_per = h.div_ceil(bands);
@@ -1004,8 +928,7 @@ mod tests {
     fn band_outside_target_errors() {
         let sh = Arc::new(compile("void main() { gl_FragColor = vec4(1.0); }").unwrap());
         for engine in ENGINES {
-            let mut plan =
-                DrawPlan::build(&sh, &UniformValues::new(), engine, &[], 4, None).unwrap();
+            let mut plan = DrawPlan::build(&sh, &UniformValues::new(), engine, &[], 4).unwrap();
             let mut data = vec![0u8; 4 * 4 * 4];
             let r = execute_plan(
                 &mut plan,
@@ -1027,8 +950,7 @@ mod tests {
     fn undersized_target_buffer_errors() {
         let sh = Arc::new(compile("void main() { gl_FragColor = vec4(1.0); }").unwrap());
         for engine in ENGINES {
-            let mut plan =
-                DrawPlan::build(&sh, &UniformValues::new(), engine, &[], 2, None).unwrap();
+            let mut plan = DrawPlan::build(&sh, &UniformValues::new(), engine, &[], 2).unwrap();
             let mut data = vec![0u8; 7];
             let r = execute_plan(
                 &mut plan,
@@ -1057,8 +979,7 @@ mod tests {
         let (w, h) = (100u32, 70u32);
         for engine in ENGINES {
             let mut plan =
-                DrawPlan::build(&shader, &uniforms, engine, &[texcoord_corners()], w, None)
-                    .unwrap();
+                DrawPlan::build(&shader, &uniforms, engine, &[texcoord_corners()], w).unwrap();
             let mut full = vec![0u8; w as usize * h as usize * 4];
             let mut pool = None;
             execute_plan(
@@ -1109,7 +1030,6 @@ mod tests {
             Engine::Scalar,
             &[texcoord_corners()],
             64,
-            None,
         )
         .unwrap();
         assert_ne!(
@@ -1119,15 +1039,8 @@ mod tests {
         assert_eq!(plan.column_slice_hash(0, 16), plan.column_slice_hash(0, 16));
         let mut other = texcoord_corners();
         other[1][0] = 0.25;
-        let shifted = DrawPlan::build(
-            &shader,
-            &UniformValues::new(),
-            Engine::Scalar,
-            &[other],
-            64,
-            None,
-        )
-        .unwrap();
+        let shifted =
+            DrawPlan::build(&shader, &UniformValues::new(), Engine::Scalar, &[other], 64).unwrap();
         assert_ne!(
             plan.column_slice_hash(0, 16),
             shifted.column_slice_hash(0, 16)
@@ -1162,7 +1075,6 @@ mod tests {
                 engine,
                 &[texcoord_corners()],
                 32,
-                None,
             )
             .unwrap();
             let mut data = vec![0u8; 32 * 32 * 4];
@@ -1184,20 +1096,8 @@ mod tests {
                 "{engine:?}: {e}"
             );
 
-            // The pool and the plan's seats both stay usable after a
-            // panicked draw.
-            let mut recycled = Some(plan);
-            let bytes = planned_bytes(
-                &ok,
-                &UniformValues::new(),
-                32,
-                32,
-                4,
-                engine,
-                4,
-                &mut pool,
-                &mut recycled,
-            );
+            // The pool stays usable after a panicked draw.
+            let bytes = planned_bytes(&ok, &UniformValues::new(), 32, 32, 4, engine, 4, &mut pool);
             assert_eq!(bytes, serial, "{engine:?}");
         }
     }

@@ -6,8 +6,14 @@
 //! and compiler MAD fusion. [`OptConfig::baseline`] is the paper's
 //! starting point — an implementation following OpenGL ES 2 best practices
 //! [14][11] — and each builder method applies one optimisation.
+//!
+//! How the host executes fragments (threads, engine tier, tile skipping)
+//! is not part of this space: it belongs to the context's
+//! [`ExecConfig`](mgpu_gles::ExecConfig), which only the caller sets,
+//! through [`Gl::set_exec_config`](mgpu_gles::Gl::set_exec_config) or the
+//! `MGPU_*` environment snapshot taken when the context is created.
 
-use mgpu_gles::{BufferUsage, Engine};
+use mgpu_gles::BufferUsage;
 
 use crate::encoding::Encoding;
 
@@ -67,22 +73,6 @@ pub struct OptConfig {
     /// Let the shader compiler fuse multiply-adds (kernel-code
     /// optimisation; off only for ablations).
     pub mad_fusion: bool,
-    /// Host threads for functional fragment execution (`None` keeps the
-    /// context's setting — `MGPU_THREADS` or the machine's parallelism).
-    /// Purely a wall-clock knob: outputs and simulated timing are
-    /// identical for every value.
-    pub threads: Option<usize>,
-    /// Fragment-engine tier for functional execution (`None` keeps the
-    /// context's setting — `MGPU_ENGINE` or the compiled default; the
-    /// scalar tier is the reference). Like `threads`, purely a
-    /// wall-clock knob: both engines are bit-exact.
-    pub engine: Option<Engine>,
-    /// Tile-signature redundancy elimination (`None` keeps the context's
-    /// setting — `MGPU_TILE_SKIP` or off by default). Bit-exact like the
-    /// other execution knobs, but **not** timing-neutral: skipped tiles
-    /// trade fragment shading for signature traffic in the simulated
-    /// cost model, so steady-state multi-pass loops get faster.
-    pub tile_skip: Option<bool>,
 }
 
 impl OptConfig {
@@ -99,9 +89,6 @@ impl OptConfig {
             invalidate: true,
             encoding: Encoding::Fp32,
             mad_fusion: true,
-            threads: None,
-            engine: None,
-            tile_skip: None,
         }
     }
 
@@ -165,30 +152,6 @@ impl OptConfig {
     #[must_use]
     pub fn without_mad_fusion(mut self) -> Self {
         self.mad_fusion = false;
-        self
-    }
-
-    /// Pins functional execution to `threads` host threads (`1` forces
-    /// the serial path).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Pins functional execution to the given fragment-engine tier.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Pins tile-signature redundancy elimination on (`true`) or off
-    /// (`false`). Outputs stay byte-identical either way; simulated time
-    /// improves when multi-pass loops re-shade unchanged tiles.
-    #[must_use]
-    pub fn with_tile_skip(mut self, tile_skip: bool) -> Self {
-        self.tile_skip = Some(tile_skip);
         self
     }
 }

@@ -105,8 +105,7 @@ impl BuildMode {
     }
 }
 
-/// Applies the configured swap interval and host-execution threading once
-/// at operator setup.
+/// Applies the configured swap interval once at operator setup.
 pub(crate) fn apply_setup(gl: &mut Gl, cfg: &OptConfig) {
     match cfg.sync {
         SyncStrategy::SwapDefault => {
@@ -115,21 +114,6 @@ pub(crate) fn apply_setup(gl: &mut Gl, cfg: &OptConfig) {
         }
         SyncStrategy::SwapInterval0 => gl.swap_interval(0),
         SyncStrategy::NoSwap => {}
-    }
-    if cfg.threads.is_some() || cfg.engine.is_some() || cfg.tile_skip.is_some() {
-        // Compose onto the context's current configuration so pinning one
-        // knob never clobbers the others.
-        let mut exec = gl.exec_config();
-        if let Some(threads) = cfg.threads {
-            exec = exec.with_thread_count(threads);
-        }
-        if let Some(engine) = cfg.engine {
-            exec = exec.with_engine(engine);
-        }
-        if let Some(tile_skip) = cfg.tile_skip {
-            exec = exec.with_tile_skip(tile_skip);
-        }
-        gl.set_exec_config(exec);
     }
 }
 

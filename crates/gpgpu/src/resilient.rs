@@ -19,22 +19,19 @@
 //! * **watchdog kills** — the draw is split into progressively more
 //!   row-band sub-draws (bit-identical output, lower per-draw cost);
 //! * **corruption** — optional CRC-32 verification re-runs each pass from
-//!   its checkpoint and accepts only agreeing results; repeated mismatch
-//!   falls back to the scalar engine, which is byte-identical by the
-//!   stack's determinism invariant;
-//! * **lossy degradation** — when everything else is exhausted and
-//!   [`ResilienceConfig::allow_lossy_degrade`] is set, the job may reduce
-//!   its working-set (e.g. [`SgemmJob`] halves its block size) and the
-//!   whole run restarts.
+//!   its checkpoint and accepts only agreeing results; a mismatched pass
+//!   is rolled back to its checkpoint and retried.
 //!
-//! A recovered run returns bytes identical to a fault-free run (unless a
-//! lossy degradation was explicitly allowed); an unrecoverable run returns
+//! The runner never writes the context's
+//! [`ExecConfig`](mgpu_gles::ExecConfig): execution settings belong to
+//! the caller. A recovered run returns bytes identical to a fault-free
+//! run; an unrecoverable run returns
 //! [`GpgpuError::Exhausted`] carrying the fault trail and every recovery
 //! step taken — never a panic, never silent corruption.
 
 use std::fmt;
 
-use mgpu_gles::{Engine, FaultEvent, Gl, GlError};
+use mgpu_gles::{FaultEvent, Gl, GlError};
 use mgpu_tbdr::SimTime;
 
 use crate::config::OptConfig;
@@ -114,13 +111,8 @@ pub struct ResilienceConfig {
     /// checkpoint and accepted only when both runs agree. Costs roughly 2×
     /// the draw work; catches silent corruption.
     pub verify_checksums: bool,
-    /// Allow jobs to degrade lossily (e.g. sgemm block-size reduction)
-    /// when retries are exhausted. Changes result bytes — off by default.
-    pub allow_lossy_degrade: bool,
     /// Upper bound on row-band splitting under watchdog pressure.
     pub max_bands: u32,
-    /// Lossy degradations allowed before giving up.
-    pub max_lossy_degrades: u32,
 }
 
 impl Default for ResilienceConfig {
@@ -128,15 +120,10 @@ impl Default for ResilienceConfig {
         ResilienceConfig {
             retry: RetryPolicy::default(),
             verify_checksums: false,
-            allow_lossy_degrade: false,
             max_bands: 64,
-            max_lossy_degrades: 3,
         }
     }
 }
-
-/// Checksum mismatches tolerated before falling back to the scalar engine.
-const ENGINE_FALLBACK_MISMATCHES: u32 = 2;
 
 /// A stage of a resilient run, for events and errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,17 +174,6 @@ pub enum RecoveryEvent {
         /// Stage that mismatched.
         stage: StageId,
     },
-    /// Repeated mismatches: execution fell back to the scalar engine
-    /// (byte-identical results by the determinism invariant).
-    EngineFallback {
-        /// Stage at which the fallback happened.
-        stage: StageId,
-    },
-    /// The job degraded lossily and the run restarted.
-    LossyDegrade {
-        /// 1-based degradation level.
-        level: u32,
-    },
 }
 
 /// The typed give-up error of [`ResilientRunner::run`]: what failed, what
@@ -236,8 +212,8 @@ impl fmt::Display for ExhaustedError {
 
 impl std::error::Error for ExhaustedError {}
 
-/// A job the [`ResilientRunner`] can rebuild, replay pass-by-pass,
-/// checkpoint and (optionally) degrade.
+/// A job the [`ResilientRunner`] can rebuild, replay pass-by-pass and
+/// checkpoint.
 ///
 /// Implementations must be deterministic: replaying a pass from the same
 /// checkpoint must reproduce the same bytes, or checksum verification and
@@ -249,8 +225,7 @@ pub trait RecoverableJob {
     /// textures, output chain. Called before the first run and again after
     /// each context recreation, so it must not assume prior GL state.
     fn build(&mut self, gl: &mut Gl) -> Result<(), GpgpuError>;
-    /// Number of passes in one run (may change after
-    /// [`RecoverableJob::degrade_lossy`]).
+    /// Number of passes in one run.
     fn passes(&self) -> usize;
     /// Restores the job's start-of-run state (e.g. re-seeds an
     /// accumulator). Must be callable repeatedly.
@@ -264,13 +239,6 @@ pub trait RecoverableJob {
     fn restore(&mut self, gl: &mut Gl, bytes: &[u8]) -> Result<(), GpgpuError>;
     /// Reads back the final result bytes.
     fn result_bytes(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError>;
-    /// Applies a lossy degradation (smaller blocks, cheaper kernel, ...).
-    /// Returns whether anything changed; the runner then restarts the run
-    /// from scratch. Only invoked when
-    /// [`ResilienceConfig::allow_lossy_degrade`] is set.
-    fn degrade_lossy(&mut self) -> bool {
-        false
-    }
 }
 
 /// How a stage attempt failed (checksum mismatches are not [`GpgpuError`]s
@@ -324,8 +292,6 @@ pub struct ResilientRunner {
     events: Vec<RecoveryEvent>,
     bands: u32,
     recreates: u32,
-    mismatches: u32,
-    engine_fallback: bool,
     needs_rebuild: bool,
 }
 
@@ -338,8 +304,6 @@ impl ResilientRunner {
             events: Vec::new(),
             bands: 1,
             recreates: 0,
-            mismatches: 0,
-            engine_fallback: false,
             needs_rebuild: true,
         }
     }
@@ -358,13 +322,15 @@ impl ResilientRunner {
         self.bands
     }
 
-    /// Runs the job to completion, returning the raw encoded result bytes.
+    /// Runs the job to completion — build, every pass with checkpointing
+    /// (and optional verification), readback — returning the raw encoded
+    /// result bytes.
     ///
     /// # Errors
     ///
-    /// [`GpgpuError::Exhausted`] when retries, recreations and degradation
-    /// rungs are spent (carrying the fault trail); the underlying error
-    /// directly when it is not recoverable (e.g. [`GpgpuError::Config`]).
+    /// [`GpgpuError::Exhausted`] when retries and recreations are spent
+    /// (carrying the fault trail); the underlying error directly when it
+    /// is not recoverable (e.g. [`GpgpuError::Config`]).
     pub fn run(
         &mut self,
         gl: &mut Gl,
@@ -373,38 +339,6 @@ impl ResilientRunner {
         self.events.clear();
         self.bands = 1;
         self.recreates = 0;
-        self.mismatches = 0;
-        self.engine_fallback = false;
-        let mut degrade_level = 0u32;
-        loop {
-            match self.try_run(gl, job) {
-                Ok(bytes) => return Ok(bytes),
-                Err(e) => {
-                    if matches!(e, GpgpuError::Exhausted(_))
-                        && self.cfg.allow_lossy_degrade
-                        && degrade_level < self.cfg.max_lossy_degrades
-                        && job.degrade_lossy()
-                    {
-                        degrade_level += 1;
-                        self.events.push(RecoveryEvent::LossyDegrade {
-                            level: degrade_level,
-                        });
-                        self.bands = 1;
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// One full attempt at the run: build, every pass with checkpointing
-    /// (and optional verification), readback.
-    fn try_run(
-        &mut self,
-        gl: &mut Gl,
-        job: &mut dyn RecoverableJob,
-    ) -> Result<Vec<u8>, GpgpuError> {
         self.needs_rebuild = true;
         let total = job.passes();
         let mut checkpoint: Option<Vec<u8>> = None;
@@ -428,16 +362,7 @@ impl ResilientRunner {
                     let err = match fail {
                         PassFailure::Err(e) => e,
                         PassFailure::Mismatch => {
-                            self.mismatches += 1;
                             self.events.push(RecoveryEvent::ChecksumMismatch { stage });
-                            if self.mismatches >= ENGINE_FALLBACK_MISMATCHES
-                                && !self.engine_fallback
-                            {
-                                self.engine_fallback = true;
-                                let exec = gl.exec_config().with_engine(Engine::Scalar);
-                                gl.set_exec_config(exec);
-                                self.events.push(RecoveryEvent::EngineFallback { stage });
-                            }
                             GpgpuError::Corrupted(format!(
                                 "checksum mismatch at {stage}: two runs of the pass disagree"
                             ))
@@ -709,8 +634,7 @@ impl RecoverableJob for SumJob {
 }
 
 /// [`RecoverableJob`] over the [`Sgemm`] operator: one multiplication,
-/// `n / block` passes. Its lossy degradation rung halves the block size
-/// (fewer fetches and ALU per fragment, more passes).
+/// `n / block` passes.
 #[derive(Debug)]
 pub struct SgemmJob {
     cfg: OptConfig,
@@ -740,7 +664,7 @@ impl SgemmJob {
         }
     }
 
-    /// The current block size (may shrink under lossy degradation).
+    /// The block size.
     #[must_use]
     pub fn block(&self) -> u32 {
         self.block
@@ -800,21 +724,6 @@ impl RecoverableJob for SgemmJob {
 
     fn result_bytes(&mut self, gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
         self.op_mut()?.snapshot_bytes(gl)
-    }
-
-    fn degrade_lossy(&mut self) -> bool {
-        if self.block <= 1 {
-            return false;
-        }
-        // Halving an even block keeps it a divisor of n; an odd block
-        // falls straight to 1 (which divides everything).
-        self.block = if self.block.is_multiple_of(2) {
-            self.block / 2
-        } else {
-            1
-        };
-        self.op = None;
-        true
     }
 }
 
@@ -965,17 +874,5 @@ mod tests {
         assert!(msg.contains("sum 8x8 x3"));
         assert!(msg.contains("pass 2"));
         assert!(msg.contains("context lost"));
-    }
-
-    #[test]
-    fn sgemm_degrade_ladder_reaches_one() {
-        let cfg = OptConfig::baseline();
-        let mut job = SgemmJob::new(&cfg, 16, 8, &[0.0; 256], &[0.0; 256]);
-        assert!(job.degrade_lossy());
-        assert_eq!(job.block(), 4);
-        assert!(job.degrade_lossy());
-        assert!(job.degrade_lossy());
-        assert_eq!(job.block(), 1);
-        assert!(!job.degrade_lossy());
     }
 }

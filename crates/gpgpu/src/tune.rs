@@ -174,7 +174,15 @@ pub fn tune_sum(
     warmup: usize,
     iters: usize,
 ) -> Result<TuneResult, GpgpuError> {
-    tune_sum_with_exec(platform, n, a, b, warmup, iters, &ExecConfig::from_env())
+    tune_sum_with_threads(
+        platform,
+        n,
+        a,
+        b,
+        warmup,
+        iters,
+        ExecConfig::from_env().threads(),
+    )
 }
 
 /// [`tune_sum`] with an explicit worker-thread count. The result is
@@ -193,45 +201,7 @@ pub fn tune_sum_with_threads(
     iters: usize,
     threads: usize,
 ) -> Result<TuneResult, GpgpuError> {
-    tune_sum_with_exec(
-        platform,
-        n,
-        a,
-        b,
-        warmup,
-        iters,
-        &ExecConfig::with_threads(threads),
-    )
-}
-
-/// [`tune_sum`] with an explicit host-execution configuration: `exec`'s
-/// thread count drives candidate-evaluation concurrency, and its fragment
-/// engine is stamped into every returned [`TunePoint`] config so callers
-/// that later run the winner functionally keep the tuned-for engine.
-/// Tuning itself is timing-only — rankings and periods are identical for
-/// every `exec`.
-///
-/// # Errors
-///
-/// Propagates operator failures.
-#[allow(clippy::too_many_arguments)]
-pub fn tune_sum_with_exec(
-    platform: &Platform,
-    n: u32,
-    a: &[f32],
-    b: &[f32],
-    warmup: usize,
-    iters: usize,
-    exec: &ExecConfig,
-) -> Result<TuneResult, GpgpuError> {
-    let engine = exec.engine();
-    let tile_skip = exec.tile_skip();
-    let points = measure_candidates(streaming_candidates(), exec.threads(), |(name, cfg)| {
-        // Stamp the execution knobs so callers that run the winner
-        // functionally keep the tuned-for engine and skip setting. Tuning
-        // itself is timing-only, so neither knob affects the ranking —
-        // tile skipping only fires on functional runs.
-        let cfg = cfg.with_engine(engine).with_tile_skip(tile_skip);
+    let points = measure_candidates(streaming_candidates(), threads, |(name, cfg)| {
         let mut gl = Gl::new(platform.clone(), n, n);
         gl.set_functional(false);
         let mut sum = Sum::builder(n).build(&mut gl, &cfg, a, b)?;
@@ -263,7 +233,7 @@ pub fn tune_sgemm(
     warmup: usize,
     iters: usize,
 ) -> Result<TuneResult, GpgpuError> {
-    tune_sgemm_with_exec(
+    tune_sgemm_with_threads(
         platform,
         n,
         a,
@@ -271,7 +241,7 @@ pub fn tune_sgemm(
         blocks,
         warmup,
         iters,
-        &ExecConfig::from_env(),
+        ExecConfig::from_env().threads(),
     )
 }
 
@@ -292,35 +262,6 @@ pub fn tune_sgemm_with_threads(
     iters: usize,
     threads: usize,
 ) -> Result<TuneResult, GpgpuError> {
-    tune_sgemm_with_exec(
-        platform,
-        n,
-        a,
-        b,
-        blocks,
-        warmup,
-        iters,
-        &ExecConfig::with_threads(threads),
-    )
-}
-
-/// [`tune_sgemm`] with an explicit host-execution configuration — the
-/// sgemm analogue of [`tune_sum_with_exec`].
-///
-/// # Errors
-///
-/// Propagates operator failures other than shader-limit rejections.
-#[allow(clippy::too_many_arguments)]
-pub fn tune_sgemm_with_exec(
-    platform: &Platform,
-    n: u32,
-    a: &[f32],
-    b: &[f32],
-    blocks: &[u32],
-    warmup: usize,
-    iters: usize,
-    exec: &ExecConfig,
-) -> Result<TuneResult, GpgpuError> {
     let mut candidates = Vec::new();
     for &block in blocks {
         if block == 0 || !n.is_multiple_of(block) {
@@ -333,33 +274,24 @@ pub fn tune_sgemm_with_exec(
             candidates.push((block, target_name, target));
         }
     }
-    let engine = exec.engine();
-    let tile_skip = exec.tile_skip();
-    let points = measure_candidates(
-        candidates,
-        exec.threads(),
-        |(block, target_name, target)| {
-            let mut cfg = OptConfig::baseline()
-                .with_swap_interval_0()
-                .with_engine(engine)
-                .with_tile_skip(tile_skip);
-            cfg.target = target;
-            let mut gl = Gl::new(platform.clone(), n, n);
-            gl.set_functional(false);
-            let mut sgemm = match Sgemm::new(&mut gl, &cfg, n, block, a, b) {
-                Ok(s) => s,
-                Err(e) if e.is_shader_limit() => return Ok(None),
-                Err(e) => return Err(e),
-            };
-            let period = steady_period(&mut gl, warmup, iters, |gl| sgemm.multiply(gl))?;
-            Ok(Some(TunePoint {
-                name: format!("b{block}+{target_name}"),
-                config: cfg,
-                block,
-                period,
-            }))
-        },
-    )?;
+    let points = measure_candidates(candidates, threads, |(block, target_name, target)| {
+        let mut cfg = OptConfig::baseline().with_swap_interval_0();
+        cfg.target = target;
+        let mut gl = Gl::new(platform.clone(), n, n);
+        gl.set_functional(false);
+        let mut sgemm = match Sgemm::new(&mut gl, &cfg, n, block, a, b) {
+            Ok(s) => s,
+            Err(e) if e.is_shader_limit() => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let period = steady_period(&mut gl, warmup, iters, |gl| sgemm.multiply(gl))?;
+        Ok(Some(TunePoint {
+            name: format!("b{block}+{target_name}"),
+            config: cfg,
+            block,
+            period,
+        }))
+    })?;
     Ok(TuneResult::from_points(points))
 }
 
@@ -451,67 +383,6 @@ mod tests {
                 "sgemm at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn tuning_is_engine_invariant() {
-        use mgpu_gles::Engine;
-        // Tuning is timing-only; both engines must produce the same names,
-        // blocks and periods (configs differ only in the stamped engine).
-        let (a, b) = inputs(64);
-        let p = Platform::videocore_iv();
-        let strip = |r: &TuneResult| -> Vec<(String, u32, mgpu_tbdr::SimTime)> {
-            r.ranked
-                .iter()
-                .map(|pt| (pt.name.clone(), pt.block, pt.period))
-                .collect()
-        };
-        let scalar = ExecConfig::serial();
-        let compiled = ExecConfig::serial().with_engine(Engine::Compiled);
-        assert_eq!(
-            strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &scalar).unwrap()),
-            strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &compiled).unwrap()),
-        );
-        assert_eq!(
-            strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &scalar).unwrap()),
-            strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &compiled).unwrap()),
-        );
-        // The stamped engine survives into the returned configs.
-        let tuned = tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &compiled).unwrap();
-        assert!(tuned
-            .ranked
-            .iter()
-            .all(|pt| pt.config.engine == Some(Engine::Compiled)));
-    }
-
-    #[test]
-    fn tuning_is_tile_skip_invariant() {
-        // Tuning is timing-only (`set_functional(false)`), so the tile
-        // cache never warms and the skip knob cannot bias the ranking —
-        // it is only *stamped* into the winner configs.
-        let (a, b) = inputs(64);
-        let p = Platform::videocore_iv();
-        let strip = |r: &TuneResult| -> Vec<(String, u32, mgpu_tbdr::SimTime)> {
-            r.ranked
-                .iter()
-                .map(|pt| (pt.name.clone(), pt.block, pt.period))
-                .collect()
-        };
-        let off = ExecConfig::serial();
-        let on = ExecConfig::serial().with_tile_skip(true);
-        assert_eq!(
-            strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &off).unwrap()),
-            strip(&tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &on).unwrap()),
-        );
-        assert_eq!(
-            strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &off).unwrap()),
-            strip(&tune_sgemm_with_exec(&p, 64, &a, &b, &[1, 4], 1, 3, &on).unwrap()),
-        );
-        let tuned = tune_sum_with_exec(&p, 64, &a, &b, 2, 8, &on).unwrap();
-        assert!(tuned
-            .ranked
-            .iter()
-            .all(|pt| pt.config.tile_skip == Some(true)));
     }
 
     #[test]

@@ -20,13 +20,8 @@ use mgpu_workloads::{
 
 /// The engine variants every op must agree across: the scalar reference
 /// and the compiled closure-chain tier.
-fn engine_variants() -> Vec<(&'static str, OptConfig)> {
-    let base = OptConfig::baseline().without_swap();
-    vec![
-        ("scalar", base.with_engine(Engine::Scalar)),
-        ("compiled", base.with_engine(Engine::Compiled)),
-    ]
-}
+const ENGINE_VARIANTS: [(&str, Engine); 2] =
+    [("scalar", Engine::Scalar), ("compiled", Engine::Compiled)];
 
 /// Runs `op` under every engine variant on `platform`, asserts bit-exact
 /// agreement, and returns the agreed floats.
@@ -36,9 +31,11 @@ fn run_variants(
     what: &str,
     mut op: impl FnMut(&mut Gl, &OptConfig) -> Vec<f32>,
 ) -> Vec<f32> {
+    let cfg = OptConfig::baseline().without_swap();
     let mut agreed: Option<(&'static str, Vec<f32>)> = None;
-    for (name, cfg) in engine_variants() {
+    for (name, engine) in ENGINE_VARIANTS {
         let mut gl = Gl::new(platform.clone(), size, size);
+        gl.set_exec_config(gl.exec_config().with_engine(engine));
         let got = op(&mut gl, &cfg);
         match &agreed {
             None => agreed = Some((name, got)),

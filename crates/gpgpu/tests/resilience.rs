@@ -19,6 +19,13 @@ fn gl() -> Gl {
     Gl::new(Platform::videocore_iv(), N, N)
 }
 
+/// A context with tile skipping on.
+fn skip_gl() -> Gl {
+    let mut gl = gl();
+    gl.set_exec_config(gl.exec_config().with_tile_skip(true));
+    gl
+}
+
 fn inputs() -> (Vec<f32>, Vec<f32>) {
     let a: Vec<f32> = (0..N * N).map(|i| (i as f32 * 0.31) % 0.9).collect();
     let b: Vec<f32> = (0..N * N).map(|i| (i as f32 * 0.17) % 0.8).collect();
@@ -158,14 +165,13 @@ fn tile_skip_survives_context_loss_byte_identical() {
     let mut plain = SumJob::new(&cfg(), N, &a, &b, 3).dependent(true);
     let want = clean_run(&mut plain);
 
-    // Faulted run with `MGPU_TILE_SKIP=on`: the loss lands on draw 2,
-    // after the ping-pong chain has already warmed the signature cache.
+    // Faulted run with tile skipping on: the loss lands on draw 2, after
+    // the ping-pong chain has already warmed the signature cache.
     // Context loss must flush it, so post-recovery replays cannot
     // resurrect pre-loss tile bytes — the recovered output has to match
     // the skip-off reference exactly.
-    let skip_cfg = cfg().with_tile_skip(true);
-    let mut job = SumJob::new(&skip_cfg, N, &a, &b, 3).dependent(true);
-    let mut gl = gl();
+    let mut job = SumJob::new(&cfg(), N, &a, &b, 3).dependent(true);
+    let mut gl = skip_gl();
     gl.install_faults(FaultPlan::seeded(21).ctx_loss_at_draw(2));
     let mut runner = ResilientRunner::new(ResilienceConfig::default());
     let got = runner.run(&mut gl, &mut job).unwrap();
@@ -190,9 +196,8 @@ fn tile_skip_checksummed_corruption_heals_to_skip_off_bytes() {
     // catches it, the retry re-shades (corruption taints the stored
     // bytes' signature path deterministically), and the healed output
     // matches the fault-free skip-off run.
-    let skip_cfg = cfg().with_tile_skip(true);
-    let mut job = SumJob::new(&skip_cfg, N, &a, &b, 2).dependent(true);
-    let mut gl = gl();
+    let mut job = SumJob::new(&cfg(), N, &a, &b, 2).dependent(true);
+    let mut gl = skip_gl();
     gl.install_faults(FaultPlan::seeded(22).corrupt_at_draw(1));
     let verify = ResilienceConfig {
         verify_checksums: true,
@@ -240,14 +245,16 @@ fn checksum_verification_heals_corruption() {
 }
 
 #[test]
-fn repeated_corruption_falls_back_to_scalar_engine() {
+fn repeated_corruption_heals_without_touching_the_exec_config() {
     let (a, b) = inputs();
     let mut job = SumJob::new(&cfg(), N, &a, &b, 2).dependent(true);
     let want = clean_run(&mut job);
 
     // Each pass runs twice under verification; draws 1 and 5 are the
-    // verification replays of passes 0 and 1 — two mismatches.
+    // verification replays of passes 0 and 1 — two mismatches, each
+    // healed by a retry of its pass.
     let mut gl = gl();
+    let exec = gl.exec_config();
     gl.install_faults(FaultPlan::seeded(17).corrupt_at_draw(1).corrupt_at_draw(5));
     let verify = ResilienceConfig {
         verify_checksums: true,
@@ -255,16 +262,16 @@ fn repeated_corruption_falls_back_to_scalar_engine() {
     };
     let mut runner = ResilientRunner::new(verify);
     let got = runner.run(&mut gl, &mut job).unwrap();
-    // The scalar engine is byte-identical by the determinism invariant.
     assert_eq!(got, want);
-    assert!(runner
+    let mismatches = runner
         .events()
         .iter()
-        .any(|e| matches!(e, RecoveryEvent::EngineFallback { .. })));
-    assert!(matches!(
-        gl.exec_config().engine(),
-        mgpu_gles::Engine::Scalar
-    ));
+        .filter(|e| matches!(e, RecoveryEvent::ChecksumMismatch { .. }))
+        .count();
+    assert_eq!(mismatches, 2);
+    // Execution settings belong to the caller: recovery never rewrites
+    // them.
+    assert_eq!(gl.exec_config(), exec);
 }
 
 #[test]
@@ -386,87 +393,4 @@ fn same_seed_reproduces_the_recovery_path() {
         !trail_a.is_empty(),
         "p=0.2 over this many draws should fire"
     );
-}
-
-/// A job that needs its lossy rung: every draw is watchdog-killed until
-/// the job degrades.
-struct ToyDegradable {
-    heavy: bool,
-    degraded: bool,
-}
-
-impl RecoverableJob for ToyDegradable {
-    fn label(&self) -> String {
-        "toy".to_owned()
-    }
-    fn build(&mut self, _gl: &mut Gl) -> Result<(), GpgpuError> {
-        Ok(())
-    }
-    fn passes(&self) -> usize {
-        1
-    }
-    fn begin_run(&mut self, _gl: &mut Gl) -> Result<(), GpgpuError> {
-        Ok(())
-    }
-    fn run_pass(&mut self, _gl: &mut Gl, _pass: usize, _bands: u32) -> Result<(), GpgpuError> {
-        if self.heavy {
-            Err(GpgpuError::Gl(GlError::WatchdogTimeout {
-                estimated: SimTime::from_micros(2),
-                budget: SimTime::from_micros(1),
-            }))
-        } else {
-            Ok(())
-        }
-    }
-    fn snapshot(&mut self, _gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
-        Ok(vec![1, 2, 3])
-    }
-    fn restore(&mut self, _gl: &mut Gl, _bytes: &[u8]) -> Result<(), GpgpuError> {
-        Ok(())
-    }
-    fn result_bytes(&mut self, _gl: &mut Gl) -> Result<Vec<u8>, GpgpuError> {
-        Ok(vec![1, 2, 3])
-    }
-    fn degrade_lossy(&mut self) -> bool {
-        if self.heavy {
-            self.heavy = false;
-            self.degraded = true;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-#[test]
-fn lossy_degradation_is_opt_in() {
-    let run = |allow: bool| {
-        let mut job = ToyDegradable {
-            heavy: true,
-            degraded: false,
-        };
-        let mut gl = gl();
-        let cfg = ResilienceConfig {
-            allow_lossy_degrade: allow,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
-            ..ResilienceConfig::default()
-        };
-        let mut runner = ResilientRunner::new(cfg);
-        let out = runner.run(&mut gl, &mut job);
-        (out, runner.events().to_vec(), job.degraded)
-    };
-
-    let (out, events, degraded) = run(true);
-    assert_eq!(out.unwrap(), vec![1, 2, 3]);
-    assert!(degraded);
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, RecoveryEvent::LossyDegrade { level: 1 })));
-
-    let (out, _, degraded) = run(false);
-    assert!(matches!(out.unwrap_err(), GpgpuError::Exhausted(_)));
-    assert!(!degraded, "degradation must stay opt-in");
 }

@@ -22,13 +22,21 @@ fn values(salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// The configuration points of the contract, all with tile skip off (a
-/// functional context's skipped tiles legitimately save simulated time).
+/// A context of the given mode with tile skip pinned off: a functional
+/// context's skipped tiles legitimately save simulated time.
+fn context(platform: &Platform, functional: bool) -> Gl {
+    let mut gl = Gl::new(platform.clone(), N, N);
+    gl.set_exec_config(gl.exec_config().with_tile_skip(false));
+    gl.set_functional(functional);
+    gl
+}
+
+/// The configuration points of the contract.
 fn points() -> Vec<(&'static str, OptConfig)> {
     let base = OptConfig::baseline();
     let tex = base.without_swap();
     let fb = base.with_swap_interval_0().with_framebuffer_rendering();
-    [
+    vec![
         ("baseline", base),
         ("texture", tex),
         ("framebuffer", fb),
@@ -36,9 +44,6 @@ fn points() -> Vec<(&'static str, OptConfig)> {
         ("fp24", tex.with_fp24()),
         ("vbo", tex.with_vbo(BufferUsage::StaticDraw)),
     ]
-    .into_iter()
-    .map(|(name, cfg)| (name, cfg.with_tile_skip(false)))
-    .collect()
 }
 
 /// Two passes over one input, the first reading the seeded chain.
@@ -156,8 +161,7 @@ fn run(
     build: Build,
     functional: bool,
 ) -> Result<SimReport, GpgpuError> {
-    let mut gl = Gl::new(platform.clone(), N, N);
-    gl.set_functional(functional);
+    let mut gl = context(platform, functional);
     let mut entry = build(&mut gl, cfg)?;
     for _ in 0..3 {
         entry(&mut gl)?;
@@ -194,11 +198,10 @@ fn timing_only_reports_equal_functional_reports() {
 /// running once matches a context that never made the failed call.
 #[test]
 fn timing_only_builds_refuse_functional_runs() {
-    let cfg = OptConfig::baseline().without_swap().with_tile_skip(false);
+    let cfg = OptConfig::baseline().without_swap();
     let platform = Platform::videocore_iv();
     for (entry, build) in entries() {
-        let mut gl = Gl::new(platform.clone(), N, N);
-        gl.set_functional(false);
+        let mut gl = context(&platform, false);
         let mut run = build(&mut gl, &cfg).unwrap();
         let before = gl.elapsed();
         gl.set_functional(true);
@@ -210,8 +213,7 @@ fn timing_only_builds_refuse_functional_runs() {
         run(&mut gl).unwrap();
         gl.finish();
 
-        let mut twin = Gl::new(platform.clone(), N, N);
-        twin.set_functional(false);
+        let mut twin = context(&platform, false);
         let mut twin_run = build(&mut twin, &cfg).unwrap();
         twin_run(&mut twin).unwrap();
         twin.finish();

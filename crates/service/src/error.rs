@@ -91,7 +91,8 @@ pub enum ServiceError {
     /// The service was configured inconsistently (zero devices, zero
     /// queue depth, out-of-order submission times, invalid job shape...).
     Config(String),
-    /// An `MGPU_SERVICE_*` environment knob failed to parse.
+    /// An `MGPU_*` execution knob failed to parse at device context
+    /// creation.
     Env(EnvKnobError),
 }
 

@@ -17,14 +17,13 @@
 
 use std::collections::VecDeque;
 
-use mgpu_gles::{ExecConfig, FaultPlan, Gl, GlError};
+use mgpu_gles::{FaultPlan, Gl, GlError};
 use mgpu_gpgpu::{GpgpuError, OptConfig, ResilienceConfig, ResilientRunner};
 use mgpu_prop::Rng;
 use mgpu_tbdr::{Platform, SimTime};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::error::{DeadlineError, ServiceError};
-use crate::knobs::service_knobs;
 use crate::queue::{JobId, QueuedJob, Tenant, TenantId};
 use crate::spec::JobSpec;
 
@@ -58,9 +57,6 @@ pub struct ServiceConfig {
     /// Per-device fault plans (`plans[i % len]`; an empty vec = clean
     /// fleet, `None` entries = that device is clean).
     pub fault_plans: Vec<Option<FaultPlan>>,
-    /// Multiplex every device over one shared host-thread executor
-    /// (wall-clock only; results and simulated timing are unaffected).
-    pub share_executor: bool,
 }
 
 impl Default for ServiceConfig {
@@ -77,40 +73,11 @@ impl Default for ServiceConfig {
             opt: OptConfig::baseline().without_swap(),
             seed: 1,
             fault_plans: Vec::new(),
-            share_executor: true,
         }
     }
 }
 
 impl ServiceConfig {
-    /// The default configuration with any `MGPU_SERVICE_*` environment
-    /// overrides applied (from the strict once-per-process snapshot).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Env`] when any `MGPU_SERVICE_*` value fails its
-    /// grammar.
-    pub fn from_env() -> Result<Self, ServiceError> {
-        let knobs = match service_knobs() {
-            Ok(k) => *k,
-            Err(e) => return Err(ServiceError::Env(e.clone())),
-        };
-        let mut cfg = ServiceConfig::default();
-        if let Some(n) = knobs.devices {
-            cfg.devices = n;
-        }
-        if let Some(depth) = knobs.queue_depth {
-            cfg.queue_depth = depth;
-        }
-        if let Some(threshold) = knobs.breaker {
-            cfg.breaker.threshold = threshold;
-        }
-        if let Some(seed) = knobs.seed {
-            cfg.seed = seed;
-        }
-        Ok(cfg)
-    }
-
     /// The platform simulated by device `index`.
     ///
     /// # Panics
@@ -203,9 +170,6 @@ struct Device {
     free_at: SimTime,
     queue: VecDeque<QueuedJob>,
     breaker: CircuitBreaker,
-    /// Exec config restored after every job (the resilient runner's
-    /// engine fallback mutates it persistently).
-    base_exec: ExecConfig,
     jobs_run: u64,
 }
 
@@ -237,8 +201,9 @@ pub struct FleetService {
 
 impl FleetService {
     /// Builds the fleet: one `Gl` context per device on its platform,
-    /// with its fault plan installed, all multiplexed over a shared
-    /// executor when configured.
+    /// with its fault plan installed, all multiplexed over one shared
+    /// host-thread executor (wall-clock only; results and simulated
+    /// timing are unaffected).
     ///
     /// # Errors
     ///
@@ -269,22 +234,18 @@ impl FleetService {
                     other => ServiceError::Config(other.to_string()),
                 },
             )?;
-            if cfg.share_executor {
-                match &shared_executor {
-                    None => shared_executor = Some(gl.executor()),
-                    Some(executor) => gl.install_executor(executor.clone()),
-                }
+            match &shared_executor {
+                None => shared_executor = Some(gl.executor()),
+                Some(executor) => gl.install_executor(executor.clone()),
             }
             if let Some(plan) = cfg.fault_plan_for(index) {
                 gl.install_faults(plan);
             }
-            let base_exec = gl.exec_config();
             devices.push(Device {
                 gl,
                 free_at: SimTime::ZERO,
                 queue: VecDeque::new(),
                 breaker: CircuitBreaker::new(cfg.breaker),
-                base_exec,
                 jobs_run: 0,
             });
         }
@@ -709,13 +670,8 @@ impl FleetService {
         let mut recoverable = job.spec.build(&self.cfg.opt, job.input_seed);
         let result = runner.run(&mut device.gl, recoverable.as_mut());
 
-        // The runner's engine fallback mutates the exec config
-        // persistently; the next tenant's job must not inherit it.
-        if device.gl.exec_config() != device.base_exec {
-            device.gl.set_exec_config(device.base_exec);
-        }
-        // Likewise, a run abandoned with the context lost must not tax
-        // the next job with the recovery.
+        // A run abandoned with the context lost must not tax the next
+        // job with the recovery.
         if device.gl.context_lost() {
             device.gl.recreate();
         }

@@ -104,6 +104,8 @@ fn solo_bytes(
 ) -> Result<Vec<u8>, ServiceError> {
     let mut gl = Gl::try_new(cfg.platform_for(device), cfg.surface, cfg.surface)
         .map_err(|e| ServiceError::Config(e.to_string()))?;
+    // The baseline is fault-free whatever `MGPU_FAULTS` installed.
+    gl.clear_faults();
     let mut job = record.spec.build(&cfg.opt, record.input_seed);
     let mut runner = ResilientRunner::new(cfg.resilience);
     runner

@@ -46,7 +46,6 @@ mod breaker;
 mod error;
 mod fleet;
 mod isolation;
-mod knobs;
 mod queue;
 mod spec;
 
@@ -54,6 +53,5 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use error::{DeadlineError, ServiceError};
 pub use fleet::{FleetService, JobRecord, ServiceConfig, ServiceStats};
 pub use isolation::{check_isolation, check_service_isolation, IsolationDivergence};
-pub use knobs::{BREAKER_ENV, DEVICES_ENV, QUEUE_DEPTH_ENV, SEED_ENV};
 pub use queue::{JobId, TenantId};
 pub use spec::JobSpec;

@@ -127,8 +127,7 @@ impl std::fmt::Debug for CompiledProgram {
 /// The mutable per-worker state of the compiled tier: a plane file cloned
 /// from the program's constant-initialised template, plus fetch staging.
 /// The counterpart of [`ExecCore`](crate::ExecCore) for long-lived seat
-/// caches: rebind it to a different program with
-/// [`CompiledCore::rebind`] to reuse its allocation.
+/// caches.
 #[derive(Debug)]
 pub struct CompiledCore {
     planes: Vec<Plane>,
@@ -143,16 +142,6 @@ impl CompiledCore {
             planes: program.init.clone(),
             fetched: Box::new([[0.0; 4]; LANES]),
         }
-    }
-
-    /// Re-targets this core at a (possibly different) program, reusing
-    /// the plane allocation where it fits. Behaviour afterwards is
-    /// bit-identical to a fresh [`CompiledCore::new`]: the whole plane
-    /// file is re-seeded from the program's template, so no stale state
-    /// can leak across shader swaps.
-    pub fn rebind(&mut self, program: &CompiledProgram) {
-        self.planes.clear();
-        self.planes.extend_from_slice(&program.init);
     }
 }
 
@@ -1661,48 +1650,6 @@ mod tests {
         let mut out = [[f32::NAN; 4]; 1];
         program.run(&mut core, &[], 1, &[], &mut out).unwrap();
         assert_eq!(out[0], [0.0; 4]);
-    }
-
-    #[test]
-    fn rebound_core_matches_fresh_core_bitwise() {
-        let sh_a = compile(
-            "uniform float g; varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(v.x * g, v.y + g, sqrt(v.x), 1.0); }",
-        )
-        .unwrap();
-        let sh_b = compile(
-            "varying vec2 v;\n\
-             void main() { gl_FragColor = vec4(fract(v.y * 9.7), v.x, 0.0, 1.0); }",
-        )
-        .unwrap();
-        let mut u = UniformValues::new();
-        u.set_scalar("g", 3.25);
-        let prog_a = CompiledProgram::build(&sh_a, &u).unwrap();
-        let prog_b = CompiledProgram::build(&sh_b, &UniformValues::new()).unwrap();
-        let mut core = CompiledCore::new(&prog_a);
-        for (sh, uni, prog) in [
-            (&sh_a, &u, &prog_a),
-            (&sh_b, &UniformValues::new(), &prog_b),
-            (&sh_a, &u, &prog_a),
-        ] {
-            core.rebind(prog);
-            let mut fresh = CompiledCore::new(prog);
-            let mut scalar = Executor::new(sh, uni).unwrap();
-            let mut varyings = vec![[0.0f32; 4]; LANES];
-            varyings[0] = [0.1, 0.9, 0.0, 0.0];
-            varyings[1] = [-1.0, 2.0, 0.0, 0.0];
-            let (mut got, mut want) = ([[0.0f32; 4]; 2], [[0.0f32; 4]; 2]);
-            prog.run(&mut core, &varyings, 2, &[], &mut got).unwrap();
-            prog.run(&mut fresh, &varyings, 2, &[], &mut want).unwrap();
-            assert_eq!(
-                got.map(|v| v.map(f32::to_bits)),
-                want.map(|v| v.map(f32::to_bits))
-            );
-            for (l, v) in varyings[..2].iter().enumerate() {
-                let reference = scalar.run(&[*v], &[]).unwrap();
-                assert_eq!(got[l].map(f32::to_bits), reference.map(f32::to_bits));
-            }
-        }
     }
 
     #[test]

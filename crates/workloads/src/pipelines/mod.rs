@@ -35,7 +35,7 @@ pub use pyramid::GaussianPyramid;
 pub use stencil::JacobiInpaint;
 pub use training::DenseTraining;
 
-use mgpu_gles::{ExecConfig, Gl};
+use mgpu_gles::Gl;
 use mgpu_gpgpu::{
     steady_period, Encoding, GpgpuError, OptConfig, PipelineBuilder, PipelineJob, Range,
     RecoverableJob, ResilienceConfig, ResilientRunner, TunePoint, TuneResult,
@@ -266,9 +266,7 @@ pub fn verify_output(workload: &dyn Workload, bytes: &[u8]) -> Result<(), String
 }
 
 /// Autotunes `workload` on `platform`: measures every candidate
-/// configuration in timing-only mode and returns the ranking, with
-/// `exec`'s engine and tile-skip knobs stamped into each point (tuning
-/// itself is timing-only, so neither affects the ranking).
+/// configuration in timing-only mode and returns the ranking.
 ///
 /// # Errors
 ///
@@ -278,14 +276,10 @@ pub fn tune_workload(
     workload: &dyn Workload,
     warmup: usize,
     iters: usize,
-    exec: &ExecConfig,
 ) -> Result<TuneResult, GpgpuError> {
     let n = workload.n();
-    let engine = exec.engine();
-    let tile_skip = exec.tile_skip();
     let mut points = Vec::new();
     for (name, cfg) in workload.candidates() {
-        let cfg = cfg.with_engine(engine).with_tile_skip(tile_skip);
         let mut gl = Gl::new(platform.clone(), n, n);
         gl.set_functional(false);
         let mut p = workload.builder().build(&mut gl, &cfg)?;

@@ -29,8 +29,12 @@ fn run_matrix(workload: &dyn Workload) {
         for engine in ENGINES {
             for tile_skip in [false, true] {
                 let point = format!("{}/{engine:?}/skip={tile_skip}", platform.name);
-                let cfg = cfg.with_engine(engine).with_tile_skip(tile_skip);
                 let mut gl = Gl::new(platform.clone(), workload.n(), workload.n());
+                gl.set_exec_config(
+                    gl.exec_config()
+                        .with_engine(engine)
+                        .with_tile_skip(tile_skip),
+                );
                 let bytes = run_workload(&mut gl, workload, &cfg)
                     .unwrap_or_else(|e| panic!("{point}: {e}"));
                 verify_output(workload, &bytes).unwrap_or_else(|e| panic!("{point}: {e}"));

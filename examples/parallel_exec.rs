@@ -19,8 +19,6 @@ fn run(threads: usize) -> (Vec<f32>, SimTime) {
 
     let mut gl = Gl::new(Platform::videocore_iv(), n, n);
     gl.set_exec_config(ExecConfig::with_threads(threads));
-    // Equivalent, through the optimisation config:
-    //   OptConfig::baseline().with_threads(threads)
     let cfg = OptConfig::baseline().without_swap();
     let mut sum = Sum::builder(n)
         .build(&mut gl, &cfg, &a, &b)

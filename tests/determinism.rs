@@ -179,15 +179,16 @@ fn tile_skip_is_byte_identical_and_its_report_is_execution_invariant() {
     }
 }
 
-/// The `OptConfig::with_threads` knob routes through operator setup to
-/// the context, and `MGPU_THREADS`-style explicit configs round-trip.
+/// A thread count set on the context stays set: building an operator
+/// never rewrites the caller's execution config.
 #[test]
 fn thread_knob_reaches_the_context() {
     let n = 16;
     let (a, b) = inputs(n);
     let mut gl = Gl::new(Platform::videocore_iv(), n, n);
     assert!(gl.exec_config().threads() >= 1);
-    let cfg = OptConfig::baseline().without_swap().with_threads(3);
+    gl.set_exec_config(ExecConfig::with_threads(3));
+    let cfg = OptConfig::baseline().without_swap();
     let _sum = Sum::builder(n)
         .build(&mut gl, &cfg, &a, &b)
         .expect("builds");
